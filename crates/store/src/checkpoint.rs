@@ -285,14 +285,20 @@ impl Checkpointer {
     /// bookkeeping the synchronous path did right after its rename: reset
     /// the WAL — every record it holds is at or below the snapshot's
     /// `fetch_seq`, so recovery would skip them anyway — and count the
-    /// snapshot. A panic on the encoder thread is propagated.
+    /// snapshot. A panic on the encoder thread is propagated; an I/O
+    /// error names the step that failed.
     fn join_pending_snapshot(&mut self) -> io::Result<()> {
         let Some(handle) = self.pending.take() else { return Ok(()) };
         let bytes = match handle.join() {
-            Ok(result) => result?,
+            Ok(result) => result.map_err(|e| {
+                let path = self.config.snapshot_path();
+                failed_step(format!("background snapshot write to {path:?}"), e)
+            })?,
             Err(panic) => std::panic::resume_unwind(panic),
         };
-        self.wal.reset()?;
+        self.wal.reset().map_err(|e| {
+            failed_step(format!("WAL reset of {:?} after the snapshot", self.wal.path()), e)
+        })?;
         self.sync_fsync_counter();
         self.stats.snapshots += 1;
         self.obs.add("snapshots_total", 1);
@@ -325,9 +331,7 @@ impl CrawlHook for Checkpointer {
         // Join the previous boundary's encoder before anything else: its
         // WAL reset must precede this boundary's flush, or the reset
         // would discard records the snapshot does not cover.
-        self.join_pending_snapshot().unwrap_or_else(|e| {
-            panic!("background snapshot write to {:?} failed: {e}", self.config.snapshot_path())
-        });
+        self.join_pending_snapshot().unwrap_or_else(|e| panic!("{e}"));
         // Flush next: should the pending snapshot below tear, the WAL
         // still carries everything up to this boundary on top of the
         // previous snapshot.
@@ -361,10 +365,13 @@ impl Drop for Checkpointer {
             }
             return;
         }
-        self.join_pending_snapshot().unwrap_or_else(|e| {
-            panic!("background snapshot write to {:?} failed: {e}", self.config.snapshot_path())
-        });
+        self.join_pending_snapshot().unwrap_or_else(|e| panic!("{e}"));
     }
+}
+
+/// `e`, prefixed with the checkpoint step that failed.
+fn failed_step(step: String, e: io::Error) -> io::Error {
+    io::Error::new(e.kind(), format!("{step} failed: {e}"))
 }
 
 fn write_snapshot_atomically(config: &CheckpointConfig, state: &CrawlerState) -> io::Result<u64> {

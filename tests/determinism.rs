@@ -745,6 +745,8 @@ fn periodic_killed_before_any_boundary_restarts_cleanly() {
         .build()
         .expect("checkpoint dir is writable");
     resumed.resume(40.0).expect("base snapshot recovers");
+    let resumed_metrics = resumed.metrics().clone();
+    drop(resumed);
 
     let mut reference = CrawlSession::builder()
         .engine(EngineKind::Periodic)
@@ -753,7 +755,7 @@ fn periodic_killed_before_any_boundary_restarts_cleanly() {
         .build()
         .expect("a valid session");
     reference.run(40.0).expect("the crawl runs");
-    assert_metrics_identical(reference.metrics(), resumed.metrics());
+    assert_metrics_identical(reference.metrics(), &resumed_metrics);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
