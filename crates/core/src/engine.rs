@@ -67,7 +67,7 @@
 //! ```
 
 use crate::collection::Collection;
-use crate::hooks::CrawlHook;
+use crate::hooks::{CrawlHook, FetchRecord};
 use crate::incremental::{IncrementalConfig, IncrementalCrawler};
 use crate::metrics::CrawlMetrics;
 use crate::modules::{EstimatorKind, RankingConfig, RevisitStrategy};
@@ -273,22 +273,12 @@ pub trait CrawlEngine {
     /// Restrict the engine to the sites one fleet shard owns: foreign
     /// discoveries divert into the routing outbox instead of entering the
     /// frontier, and the residual schedule never fetches a foreign URL.
-    /// Must be set before the run starts. Engines without routing support
-    /// return a typed error (the threaded engine; fleets are the
-    /// process-level concurrency story instead).
-    fn set_scope(&mut self, scope: ShardScope) -> Result<(), WebEvoError> {
-        let _ = scope;
-        Err(WebEvoError::InvalidState(format!(
-            "the {} engine does not support shard scoping",
-            self.kind()
-        )))
-    }
+    /// Must be set before the run starts (a typed error otherwise).
+    fn set_scope(&mut self, scope: ShardScope) -> Result<(), WebEvoError>;
 
-    /// The engine's routing state (outbox, applied-exchange counter), when
-    /// the engine supports routing.
-    fn routing(&self) -> Option<&RoutingState> {
-        None
-    }
+    /// The engine's routing state: shard scope, outbox, and
+    /// applied-exchange counter (inert when the engine is unscoped).
+    fn routing(&self) -> &RoutingState;
 
     /// Deliver one exchange's routed links into the engine: clears the
     /// outbox (its contents were drained by the coordinator that built
@@ -296,13 +286,7 @@ pub trait CrawlEngine {
     /// sequence number, and bumps the applied-exchange counter. Returns
     /// the applied batch so the caller can log it durably. The engine
     /// must be started and quiescent (at a pass boundary).
-    fn inject_links(&mut self, links: Vec<RoutedLink>) -> Result<RoutedBatch, WebEvoError> {
-        let _ = links;
-        Err(WebEvoError::InvalidState(format!(
-            "the {} engine does not support link injection",
-            self.kind()
-        )))
-    }
+    fn inject_links(&mut self, links: Vec<RoutedLink>) -> Result<RoutedBatch, WebEvoError>;
 
     /// Install an observability sink: the engine stamps its drive, pass,
     /// and fetch-batch stages (and fetch-outcome counters) into it.
@@ -388,13 +372,97 @@ pub fn collection_quality(collection: &Collection, universe: &WebUniverse, t: f6
     }
 }
 
+/// Reject a drive target at or behind the engine clock: a typed error,
+/// never a panic. Every engine's [`CrawlEngine::drive`] starts here.
+pub(crate) fn check_drive_target(until: f64, clock: f64, started: bool) -> Result<(), WebEvoError> {
+    if until > clock {
+        return Ok(());
+    }
+    let from = if started { "the engine clock" } else { "the start day" };
+    Err(WebEvoError::InvalidState(format!("drive target {until} must lie beyond {from} {clock}")))
+}
+
+/// Skip the WAL events a restored snapshot already covers (seq ≤
+/// `fetch_seq`) and check that the rest resume exactly one past it.
+/// Every engine's [`CrawlEngine::replay`] starts here.
+pub(crate) fn wal_tail(events: &[WalEvent], fetch_seq: u64) -> Result<&[WalEvent], WebEvoError> {
+    let tail = &events[events.partition_point(|e| e.seq() <= fetch_seq)..];
+    match tail.first() {
+        Some(first) if first.seq() != fetch_seq + 1 => Err(WebEvoError::InvalidState(format!(
+            "WAL gap: snapshot ends at seq {fetch_seq} but the log resumes at {}",
+            first.seq()
+        ))),
+        _ => Ok(tail),
+    }
+}
+
+/// A read position in a committed WAL tail. Every engine's replay source
+/// reads through one: routed batches are taken at the slot they were
+/// logged at, and fetch records are cross-checked against the slot the
+/// re-derived deterministic schedule produced, record for record.
+pub(crate) struct WalCursor<'a> {
+    events: &'a [WalEvent],
+    pos: usize,
+}
+
+impl<'a> WalCursor<'a> {
+    /// A cursor at the start of `events`.
+    pub(crate) fn new(events: &'a [WalEvent]) -> WalCursor<'a> {
+        WalCursor { events, pos: 0 }
+    }
+
+    /// True once every event has been consumed.
+    pub(crate) fn exhausted(&self) -> bool {
+        self.pos >= self.events.len()
+    }
+
+    /// Consume the next event if it is the routed batch logged at exactly
+    /// this point of the schedule: sequence number `seq` at the frozen
+    /// clock `t`. Live injection happens while an engine is frozen
+    /// between drives, so the match is exact — slot times are multiples
+    /// of the slot step and batches record the frozen clock.
+    pub(crate) fn take_routed_at(&mut self, seq: u64, t: f64) -> Option<RoutedBatch> {
+        match self.events.get(self.pos) {
+            Some(WalEvent::Routed(b)) if b.seq == seq && b.t.to_bits() == t.to_bits() => {
+                self.pos += 1;
+                Some(b.clone())
+            }
+            _ => None,
+        }
+    }
+
+    /// Consume the record of fetch attempt `seq` of `url` at `t`. Panics
+    /// when the log disagrees: the schedule is deterministic, so a
+    /// mismatch means the log belongs to a different run.
+    pub(crate) fn next_fetch(&mut self, seq: u64, url: Url, t: f64) -> &'a FetchRecord {
+        let Some(WalEvent::Fetch(record)) = self.events.get(self.pos) else {
+            panic!("WAL replay out of sync at seq {seq}: engine scheduled a fetch, log has none");
+        };
+        assert_eq!(record.seq, seq, "WAL replay out of sync at seq {seq}");
+        assert_eq!(
+            record.url, url,
+            "WAL replay diverged at seq {seq}: engine scheduled {url:?}, log has {:?}",
+            record.url
+        );
+        assert_eq!(
+            record.t.to_bits(),
+            t.to_bits(),
+            "WAL replay diverged at seq {seq}: slot time {t} vs logged {}",
+            record.t
+        );
+        self.pos += 1;
+        record
+    }
+}
+
 /// Where a fetch slot's result comes from: a live fetcher, or the
 /// write-ahead log during recovery. Replay feeds recorded outcomes through
 /// the exact state transitions of a live crawl (including the fetcher's
 /// own counters, via [`Fetcher::observe_replay`]) and cross-checks that
 /// the deterministic schedule reproduces the log record-for-record.
-/// Shared by the single-threaded engines; the threaded engine replays
-/// through its own batch scheduler.
+/// Shared by the single-threaded engines; the threaded engine's batch
+/// source follows the same pattern, dispatching to its worker pool
+/// instead of a fetcher.
 pub(crate) enum FetchSource<'a> {
     /// Fetch for real.
     Live(&'a mut dyn Fetcher),
@@ -402,9 +470,7 @@ pub(crate) enum FetchSource<'a> {
     Replay {
         /// The committed WAL tail (snapshot-covered events already
         /// skipped).
-        events: &'a [WalEvent],
-        /// Next event to consume.
-        pos: usize,
+        log: WalCursor<'a>,
         /// The fetcher to advance via [`Fetcher::observe_replay`].
         fetcher: &'a mut dyn Fetcher,
     },
@@ -416,35 +482,15 @@ impl FetchSource<'_> {
     pub(crate) fn exhausted(&self) -> bool {
         match self {
             FetchSource::Live(_) => false,
-            FetchSource::Replay { events, pos, .. } => *pos >= events.len(),
+            FetchSource::Replay { log, .. } => log.exhausted(),
         }
     }
 
-    /// The next event, when it is a routed batch awaiting re-injection
-    /// (`None` for live sources and for fetch events — those flow through
-    /// [`FetchSource::fetch`]).
-    pub(crate) fn peek_routed(&self) -> Option<&RoutedBatch> {
+    /// See [`WalCursor::take_routed_at`]; always `None` when live.
+    pub(crate) fn take_routed_at(&mut self, seq: u64, t: f64) -> Option<RoutedBatch> {
         match self {
             FetchSource::Live(_) => None,
-            FetchSource::Replay { events, pos, .. } => match events.get(*pos) {
-                Some(WalEvent::Routed(batch)) => Some(batch),
-                _ => None,
-            },
-        }
-    }
-
-    /// Consume the next event as a routed batch. Call only after
-    /// [`FetchSource::peek_routed`] returned `Some`.
-    pub(crate) fn take_routed(&mut self) -> Option<RoutedBatch> {
-        match self {
-            FetchSource::Live(_) => None,
-            FetchSource::Replay { events, pos, .. } => match events.get(*pos) {
-                Some(WalEvent::Routed(batch)) => {
-                    *pos += 1;
-                    Some(batch.clone())
-                }
-                _ => None,
-            },
+            FetchSource::Replay { log, .. } => log.take_routed_at(seq, t),
         }
     }
 
@@ -465,27 +511,9 @@ impl FetchSource<'_> {
     ) -> Result<FetchOutcome, FetchError> {
         match self {
             FetchSource::Live(f) => f.fetch(url, t),
-            FetchSource::Replay { events, pos, fetcher } => {
-                let WalEvent::Fetch(record) = &events[*pos] else {
-                    panic!(
-                        "WAL replay out of sync at seq {seq}: engine scheduled a fetch, \
-                         log has a routed batch"
-                    );
-                };
-                assert_eq!(record.seq, seq, "WAL replay out of sync at seq {seq}");
-                assert_eq!(
-                    record.url, url,
-                    "WAL replay diverged at seq {seq}: engine scheduled {url:?}, log has {:?}",
-                    record.url
-                );
-                assert_eq!(
-                    record.t.to_bits(),
-                    t.to_bits(),
-                    "WAL replay diverged at seq {seq}: slot time {t} vs logged {}",
-                    record.t
-                );
+            FetchSource::Replay { log, fetcher } => {
+                let record = log.next_fetch(seq, url, t);
                 fetcher.observe_replay(url, t, &record.result);
-                *pos += 1;
                 record.result.clone()
             }
         }

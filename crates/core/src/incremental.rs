@@ -1,5 +1,6 @@
-//! The single-threaded incremental crawler engine — Algorithm 5.1 /
-//! Figure 11 made concrete, deterministic, and instrumented.
+//! The incremental crawler — Algorithm 5.1 / Figure 11 made concrete,
+//! deterministic, and instrumented — as one core both incremental engines
+//! share, and the single-threaded engine that drives it.
 //!
 //! The engine is a discrete-event loop over *fetch slots*: a steady crawler
 //! with budget `crawl_rate_per_day` performs one fetch every
@@ -22,23 +23,25 @@
 
 use crate::allurls::AllUrls;
 use crate::collection::Collection;
-use crate::engine::{CrawlBudget, CrawlEngine, FetchSource};
+use crate::engine::{
+    check_drive_target, wal_tail, CrawlBudget, CrawlEngine, FetchSource, WalCursor,
+};
 use crate::hooks::{CrawlHook, FetchRecord, NoopHook};
 use crate::metrics::CrawlMetrics;
 use crate::modules::{
     CrawlModule, EstimatorKind, RankingConfig, RankingModule, RevisitStrategy, UpdateModule,
 };
 use crate::routing::{RoutedBatch, RoutedLink, RoutingState, ShardScope, WalEvent};
-use crate::view::{BoundaryPages, ViewBoundary, ViewPublisher};
 use crate::state::{
     entries_to_queue, queue_to_entries, CrawlerState, EngineClock, EngineConfig, EngineKind,
 };
+use crate::view::{BoundaryPages, ViewBoundary, ViewPublisher};
 use serde::{Deserialize, Serialize};
 use webevo_obs::{LogicalClock, ObsSink, SpanGuard, Stage};
 use webevo_schedule::RevisitQueue;
 use webevo_sim::{FetchError, Fetcher, FetcherState, WebUniverse};
 use webevo_types::binio::{BinDecode, BinEncode, BinError, BinReader};
-use webevo_types::{DenseSet, Url, WebEvoError};
+use webevo_types::{DenseSet, PageId, Url, WebEvoError};
 
 /// Configuration of the incremental crawler.
 #[derive(Clone, Debug, Serialize, Deserialize)]
@@ -98,12 +101,18 @@ impl BinDecode for IncrementalConfig {
     }
 }
 
-/// The incremental crawler (left-hand column of Figure 10).
-pub struct IncrementalCrawler {
-    config: IncrementalConfig,
-    collection: Collection,
-    all_urls: AllUrls,
-    queue: RevisitQueue,
+/// The Figure 12 state and the per-fetch algorithm both incremental
+/// engines run. [`IncrementalCrawler`] drives it one fetch slot at a time
+/// with a synchronous RankingModule; [`crate::ThreadedCrawler`] drives it
+/// in seq-ordered batches from a worker pool, with the RankingModule on
+/// its own thread. Everything the two share lives here once, so a fix to
+/// the incremental algorithm lands in both engines.
+pub(crate) struct IncrementalCore {
+    pub(crate) config: IncrementalConfig,
+    pub(crate) collection: Collection,
+    pub(crate) all_urls: AllUrls,
+    /// `CollUrls`; `queued` is its membership set.
+    pub(crate) queue: RevisitQueue,
     queued: DenseSet,
     /// Pages the RankingModule proposed for admission; the eviction they
     /// pay for happens only when their crawl *succeeds* (Algorithm 5.1
@@ -111,47 +120,47 @@ pub struct IncrementalCrawler {
     /// would leak slots whenever a candidate turns out dead).
     admissions: DenseSet,
     update: UpdateModule,
-    ranking: RankingModule,
     crawl: CrawlModule,
-    metrics: CrawlMetrics,
+    pub(crate) metrics: CrawlMetrics,
     run_start: f64,
     /// Discrete-event clock; lives on the struct (not the run loop) so a
     /// checkpoint can freeze it and a resumed engine continues mid-run.
-    clock: EngineClock,
+    pub(crate) clock: EngineClock,
     /// Seed URLs injected (guards against double seeding on resume).
-    seeded: bool,
+    pub(crate) seeded: bool,
     /// Fetch attempts issued; pairs with [`FetchRecord::seq`]. Routed
     /// batches consume numbers from the same counter, so the WAL is one
     /// totally-ordered event stream.
-    fetch_seq: u64,
+    pub(crate) fetch_seq: u64,
     /// Cross-shard routing: scope, outbox of foreign discoveries, and the
     /// applied-exchange counter. Inert (default) when unsharded.
-    routing: RoutingState,
+    pub(crate) routing: RoutingState,
     /// Observability sink. Write-only and deliberately absent from
     /// [`CrawlerState`]: spans and counters describe the run, they never
     /// steer it, so a traced run stays byte-identical to an untraced one.
-    obs: ObsSink,
+    pub(crate) obs: ObsSink,
     /// Serving-view publisher, fired at every pass boundary. Write-only
     /// and absent from [`CrawlerState`] for the same reason as `obs`: a
     /// served run stays byte-identical to an unserved one.
-    publisher: Option<Box<dyn ViewPublisher>>,
+    pub(crate) publisher: Option<Box<dyn ViewPublisher>>,
 }
 
-impl IncrementalCrawler {
-    /// Create a crawler.
-    pub fn new(config: IncrementalConfig) -> IncrementalCrawler {
-        assert!(config.crawl_rate_per_day > 0.0);
-        assert!(config.ranking_interval_days > 0.0);
-        assert!(config.sample_interval_days > 0.0);
+impl IncrementalCore {
+    /// A fresh core. Panics unless the crawl rate, ranking interval, and
+    /// sample interval are all positive — the one place every incremental
+    /// engine's configuration is checked.
+    pub(crate) fn new(config: IncrementalConfig) -> IncrementalCore {
+        assert!(config.crawl_rate_per_day > 0.0, "crawl rate must be positive");
+        assert!(config.ranking_interval_days > 0.0, "ranking interval must be positive");
+        assert!(config.sample_interval_days > 0.0, "sample interval must be positive");
         let default_interval = config.capacity as f64 / config.crawl_rate_per_day;
-        IncrementalCrawler {
+        IncrementalCore {
             collection: Collection::new(config.capacity, config.history_window),
             all_urls: AllUrls::new(),
             queue: RevisitQueue::new(),
             queued: DenseSet::new(),
             admissions: DenseSet::new(),
             update: UpdateModule::new(config.revisit, config.estimator, default_interval),
-            ranking: RankingModule::new(config.ranking.clone()),
             crawl: CrawlModule::new(),
             metrics: CrawlMetrics::default(),
             run_start: 0.0,
@@ -165,27 +174,17 @@ impl IncrementalCrawler {
         }
     }
 
-    /// Rebuild an engine from a checkpointed state. Returns the engine and
-    /// the fetcher state the caller must install into its fetcher (via
-    /// e.g. `SimFetcher::restore_state`) before replaying or resuming.
-    pub fn from_state(
-        state: CrawlerState,
-    ) -> Result<(IncrementalCrawler, Option<FetcherState>), WebEvoError> {
-        if state.engine != EngineKind::Incremental {
-            return Err(WebEvoError::InvalidState(format!(
-                "state was written by the {} engine, not the incremental one",
-                state.engine
-            )));
-        }
-        let config = state.config.as_incremental()?.clone();
-        let crawler = IncrementalCrawler {
+    /// Rebuild the shared state from a checkpoint. The caller checks the
+    /// engine kind and takes the engine-specific fields first.
+    pub(crate) fn from_state(state: CrawlerState) -> Result<IncrementalCore, WebEvoError> {
+        Ok(IncrementalCore {
+            config: state.config.as_incremental()?.clone(),
             collection: state.collection,
             all_urls: state.all_urls,
             queue: entries_to_queue(&state.queue),
             queued: state.queued.into_iter().collect(),
             admissions: state.admissions.into_iter().collect(),
             update: state.update,
-            ranking: RankingModule::with_runs(config.ranking.clone(), state.ranking_runs),
             crawl: state.crawl,
             metrics: state.metrics,
             run_start: state.run_start,
@@ -195,19 +194,46 @@ impl IncrementalCrawler {
             routing: state.routing,
             obs: ObsSink::noop(),
             publisher: None,
-            config,
-        };
-        Ok((crawler, state.fetcher))
+        })
     }
 
-    /// All discovered URLs (for inspection).
-    pub fn all_urls(&self) -> &AllUrls {
-        &self.all_urls
+    /// Capture the shared state, with the engine-specific fields supplied
+    /// by the engine (fetcher state excluded; the checkpoint layer merges
+    /// it in, since only the run loop can reach the fetcher).
+    pub(crate) fn export_state(
+        &self,
+        engine: EngineKind,
+        ranking_runs: u64,
+        ranking_applied: u64,
+        rank_pending: bool,
+    ) -> CrawlerState {
+        CrawlerState {
+            engine,
+            config: EngineConfig::Incremental(self.config.clone()),
+            run_start: self.run_start,
+            seeded: self.seeded,
+            clock: self.clock,
+            fetch_seq: self.fetch_seq,
+            collection: self.collection.clone(),
+            all_urls: self.all_urls.clone(),
+            queue: queue_to_entries(&self.queue),
+            queued: self.queued.to_vec(),
+            admissions: self.admissions.to_vec(),
+            update: self.update.clone(),
+            ranking_runs,
+            ranking_applied,
+            rank_pending,
+            crawl: self.crawl.clone(),
+            periodic: None,
+            metrics: self.metrics.clone(),
+            fetcher: None,
+            routing: self.routing.clone(),
+        }
     }
 
-    /// Ranking passes completed.
-    pub fn ranking_runs(&self) -> u64 {
-        self.ranking.runs()
+    /// A span of `stage` stamped at `t` and the current sequence number.
+    pub(crate) fn span(&self, stage: Stage, t: f64) -> SpanGuard {
+        self.obs.span(stage, LogicalClock::new(t, self.fetch_seq))
     }
 
     fn enqueue(&mut self, url: Url, due: f64) {
@@ -222,13 +248,43 @@ impl IncrementalCrawler {
         }
     }
 
+    /// Check a drive target and open the drive, starting the run on a
+    /// fresh engine. Returns the drive span.
+    pub(crate) fn begin_drive(
+        &mut self,
+        universe: &WebUniverse,
+        until: f64,
+    ) -> Result<SpanGuard, WebEvoError> {
+        check_drive_target(until, self.clock.t, self.seeded)?;
+        if !self.seeded {
+            self.begin_run(universe);
+        }
+        self.metrics.observe_speed(self.config.crawl_rate_per_day);
+        Ok(self.span(Stage::Drive, self.clock.t))
+    }
+
+    /// Open a WAL replay and return the tail the snapshot does not cover.
+    /// A day-0 snapshot means the run died before its first cadence
+    /// snapshot: an empty log means nothing ever happened, and otherwise
+    /// the log necessarily starts at seq 1, so the replay *is* the run from
+    /// the top — start it exactly as a drive would.
+    pub(crate) fn begin_replay<'e>(
+        &mut self,
+        universe: &WebUniverse,
+        events: &'e [WalEvent],
+    ) -> Result<&'e [WalEvent], WebEvoError> {
+        if !self.seeded {
+            if events.is_empty() {
+                return Ok(events);
+            }
+            self.begin_run(universe);
+        }
+        wal_tail(events, self.fetch_seq)
+    }
+
     /// Start the run at the frozen clock: anchor the periodic activities
     /// and inject the seed URLs (§1's "initial set of URLs, called seed
-    /// URLs"). Shared by [`CrawlEngine::drive`] on a fresh engine and by
-    /// [`CrawlEngine::replay`] when the snapshot is a day-0 one (a run
-    /// killed before its first cadence snapshot recovers from the initial
-    /// snapshot that `webevo-store`'s `Checkpointer` writes at creation,
-    /// plus the whole WAL).
+    /// URLs").
     fn begin_run(&mut self, universe: &WebUniverse) {
         let start = self.clock.t;
         self.run_start = start;
@@ -252,13 +308,19 @@ impl IncrementalCrawler {
         self.seeded = true;
     }
 
+    /// The exchange barrier the next routed batch closes: the
+    /// ranking-cadence instant the fleet coordinator drives to.
+    pub(crate) fn exchange_barrier(&self) -> f64 {
+        (self.routing.exchanges + 1) as f64 * self.config.ranking_interval_days
+    }
+
     /// Apply one routed-link delivery: the outbox the coordinator drained
     /// to build this exchange is cleared, each link enters `AllUrls` (and
     /// the frontier, collection permitting) exactly as a locally
     /// discovered link would, one sequence number is consumed, and the
     /// exchange counter advances. Shared by live injection and WAL
     /// replay, so a replayed shard is bit-identical to the live one.
-    fn apply_routed(&mut self, batch: RoutedBatch) {
+    pub(crate) fn apply_routed(&mut self, batch: RoutedBatch) {
         self.routing.outbox.clear();
         self.fetch_seq = batch.seq;
         self.routing.exchanges += 1;
@@ -276,144 +338,32 @@ impl IncrementalCrawler {
         }
     }
 
-    /// The discrete-event loop over fetch slots, shared by live runs and
-    /// WAL replay. Stops at `end`, or — for replay sources — at log
-    /// exhaustion; the exhaustion check sits *before* the boundary
-    /// handlers so a resumed run re-enters at exactly the point the
-    /// interrupted one left.
-    fn advance(
-        &mut self,
-        universe: &WebUniverse,
-        source: &mut FetchSource<'_>,
-        end: f64,
-        hook: &mut dyn CrawlHook,
-    ) {
-        let step = 1.0 / self.config.crawl_rate_per_day;
-        // The open fetch-batch span, lazily started at the first fetch
-        // after a boundary and closed (dropped) at the next one — so the
-        // trace alternates fetch_batch / pass under the drive span.
-        let mut fetch_span: Option<SpanGuard> = None;
-        while self.clock.t < end {
-            // Routed batches re-inject before anything else: live
-            // injection happens while the engine is frozen *between*
-            // drives, i.e. before the boundary handlers of the slot the
-            // clock froze on. The seq/t match is exact — slot times are
-            // multiples of `step` and batches record the frozen clock.
-            if let Some(batch) = source.peek_routed() {
-                if batch.t.to_bits() == self.clock.t.to_bits()
-                    && batch.seq == self.fetch_seq + 1
-                {
-                    let batch = source.take_routed().expect("peeked a routed batch");
-                    // A routed record marks the end of a live drive call,
-                    // which closed by flushing samples through the
-                    // exchange barrier — the ranking-cadence instant the
-                    // coordinator drove to, which the frozen clock has
-                    // just overshot. Reconstruct that flush (not a sample
-                    // at the clock, which belongs to no live row) so the
-                    // replayed series matches the interrupted one row for
-                    // row.
-                    let barrier = (self.routing.exchanges + 1) as f64
-                        * self.config.ranking_interval_days;
-                    self.flush_samples(universe, barrier);
-                    self.apply_routed(batch);
-                    continue;
-                }
-            }
-            if source.exhausted() {
-                break;
-            }
-            let t = self.clock.t;
-            while t >= self.clock.next_sample {
-                // Sample at the grid instant, not the slot that crossed
-                // it: slot times depend on the crawl rate, and fleet
-                // shards run at ownership-apportioned rates yet must
-                // sample on one shared grid to merge (the periodic
-                // engine pins its grid the same way).
-                let ts = self.clock.next_sample;
-                self.sample_metrics(universe, ts);
-                self.clock.next_sample += self.config.sample_interval_days;
-            }
-            if t >= self.clock.next_ranking {
-                fetch_span = None;
-                let _pass = self.obs.span(Stage::Pass, LogicalClock::new(t, self.fetch_seq));
-                self.obs.gauge("queue_depth", self.queue.len() as f64);
-                self.run_ranking(t);
-                // Advance the clock *before* the hook: a snapshot must
-                // record this pass as done, or the restored engine would
-                // run the boundary twice.
-                self.clock.next_ranking += self.config.ranking_interval_days;
-                if hook.active() {
-                    // The export closure is lazy on purpose: most pass
-                    // boundaries only flush the WAL, and neither the
-                    // engine nor the fetcher state should be captured
-                    // unless a snapshot is actually due.
-                    let source = &*source;
-                    hook.on_pass_boundary(t, &mut || {
-                        let mut state = self.export_state();
-                        state.fetcher = source.fetcher_state();
-                        state
-                    });
-                }
-                if let Some(publisher) = self.publisher.as_mut() {
-                    let _swap =
-                        self.obs.span(Stage::ViewSwap, LogicalClock::new(t, self.fetch_seq));
-                    publisher.publish(ViewBoundary {
-                        t,
-                        fetch_seq: self.fetch_seq,
-                        passes: self.ranking.runs(),
-                        pages: BoundaryPages::Stored {
-                            collection: &self.collection,
-                            update: &self.update,
-                        },
-                        metrics: &self.metrics,
-                    });
-                }
-            }
-            let Some(visit) = self.queue.pop() else {
-                // Nothing to crawl yet (collection empty and no
-                // discoveries): burn the slot.
-                self.clock.t += step;
-                continue;
-            };
-            self.queued.remove(visit.url.page);
-            if self.routing.is_foreign(visit.url.site) {
-                // Residual foreign entry (only possible in a frontier
-                // inherited from a pre-routing checkpoint): routed links,
-                // not fetches, cross shard boundaries — drop it without
-                // spending a fetch or touching the fetch accounting.
-                self.clock.t += step;
-                continue;
-            }
-            if self.obs.enabled() && fetch_span.is_none() {
-                fetch_span =
-                    Some(self.obs.span(Stage::FetchBatch, LogicalClock::new(t, self.fetch_seq)));
-            }
-            self.crawl_one(universe, source, visit.url, t, hook);
-            self.clock.t += step;
-        }
+    /// Pop the head of `CollUrls` (the most urgent URL).
+    pub(crate) fn next_visit(&mut self) -> Option<Url> {
+        let visit = self.queue.pop()?;
+        self.queued.remove(visit.url.page);
+        Some(visit.url)
     }
 
-    /// One fetch slot: crawl `url` at `t` and apply the result.
-    fn crawl_one(
+    /// Apply one fetch outcome (Algorithm 5.1 steps [7]-[12]): update or
+    /// admit the page, forward its links to `AllUrls`, and schedule its
+    /// next visit — or handle the failure.
+    pub(crate) fn apply_fetch(
         &mut self,
         universe: &WebUniverse,
-        source: &mut FetchSource<'_>,
-        url: Url,
-        t: f64,
+        record: FetchRecord,
         hook: &mut dyn CrawlHook,
     ) {
-        self.fetch_seq += 1;
-        let result = source.fetch(self.fetch_seq, url, t);
-        self.crawl.observe(result.is_err());
+        self.crawl.observe(record.result.is_err());
         if hook.active() {
-            hook.on_fetch(&FetchRecord { seq: self.fetch_seq, url, t, result: result.clone() });
+            hook.on_fetch(&record);
         }
+        let FetchRecord { seq, url, t, result } = record;
         match result {
             Ok(outcome) => {
                 self.obs.add("fetch_ok_total", 1);
                 self.metrics.record_fetch(true);
-                let in_collection = self.collection.contains(url.page);
-                if in_collection {
+                if self.collection.contains(url.page) {
                     self.collection.update(url.page, outcome.checksum, outcome.links.clone(), t);
                 } else {
                     let admitted = self.admissions.remove(url.page);
@@ -459,11 +409,7 @@ impl IncrementalCrawler {
                         // the local frontier. Every sighting is routed
                         // (no dedup), mirroring the per-sighting
                         // `add_in_link` evidence a single node collects.
-                        self.routing.outbox.push(RoutedLink {
-                            seq: self.fetch_seq,
-                            from: url.page,
-                            url: *link,
-                        });
+                        self.routing.outbox.push(RoutedLink { seq, from: url.page, url: *link });
                         continue;
                     }
                     let first_sighting = !self.all_urls.contains(*link);
@@ -506,19 +452,84 @@ impl IncrementalCrawler {
         }
     }
 
-    /// Periodic refinement: ranking pass + revisit reallocation.
-    ///
-    /// Replacement proposals only *schedule* the candidate (at the queue
-    /// front, per §5.3); the matching eviction happens when the candidate's
-    /// crawl succeeds, so dead candidates never cost a slot.
-    fn run_ranking(&mut self, _t: f64) {
-        let outcome = self.ranking.run(&mut self.collection, &self.all_urls);
-        for (_victim, admit) in outcome.replacements {
+    /// Schedule a ranking pass's replacement proposals, then reallocate
+    /// the revisit budget. A proposal only *schedules* its candidate (at
+    /// the queue front, per §5.3); the matching eviction happens when the
+    /// candidate's crawl succeeds, so dead candidates never cost a slot.
+    /// A candidate already stored is skipped: a ranking computed on an
+    /// older copy of the collection (the threaded engine's) may propose a
+    /// page admitted since.
+    pub(crate) fn admit_ranked(&mut self, replacements: Vec<(PageId, Url)>) {
+        for (_victim, admit) in replacements {
+            if self.collection.contains(admit.page) {
+                continue;
+            }
             self.admissions.insert(admit.page);
             self.enqueue_front(admit);
         }
-        self.update
-            .reallocate(&self.collection, self.config.crawl_rate_per_day);
+        self.update.reallocate(&self.collection, self.config.crawl_rate_per_day);
+    }
+
+    /// Open the span of the pass boundary at `t`.
+    pub(crate) fn pass_span(&self, t: f64) -> SpanGuard {
+        let span = self.span(Stage::Pass, t);
+        self.obs.gauge("queue_depth", self.queue.len() as f64);
+        span
+    }
+
+    /// Finish the pass boundary at `t` after the engine's ranking step:
+    /// advance the ranking clock *before* the hook (a snapshot must record
+    /// this pass as done, or the restored engine would run the boundary
+    /// twice), offer the hook a snapshot, and publish the serving view.
+    /// `export` captures the engine's full state; it is lazy on purpose —
+    /// most boundaries only flush the WAL, and no state should be captured
+    /// unless a snapshot is actually due.
+    pub(crate) fn close_pass(
+        &mut self,
+        t: f64,
+        hook: &mut dyn CrawlHook,
+        passes: u64,
+        export: &mut dyn FnMut(&IncrementalCore) -> CrawlerState,
+    ) {
+        self.clock.next_ranking += self.config.ranking_interval_days;
+        if hook.active() {
+            let core = &*self;
+            hook.on_pass_boundary(t, &mut || export(core));
+        }
+        if let Some(publisher) = self.publisher.as_mut() {
+            let _swap = self.obs.span(Stage::ViewSwap, LogicalClock::new(t, self.fetch_seq));
+            publisher.publish(ViewBoundary {
+                t,
+                fetch_seq: self.fetch_seq,
+                passes,
+                pages: BoundaryPages::Stored { collection: &self.collection, update: &self.update },
+                metrics: &self.metrics,
+            });
+        }
+    }
+
+    /// Emit the grid samples due by slot time `t`. Samples sit at the grid
+    /// instant, not the slot that crossed it: slot times depend on the
+    /// crawl rate, and fleet shards run at ownership-apportioned rates yet
+    /// must sample on one shared grid to merge (the periodic engine pins
+    /// its grid the same way).
+    pub(crate) fn sample_due(&mut self, universe: &WebUniverse, t: f64) {
+        while self.clock.next_sample <= t {
+            let ts = self.clock.next_sample;
+            self.sample_metrics(universe, ts);
+            self.clock.next_sample += self.config.sample_interval_days;
+        }
+    }
+
+    /// Emit every pending grid sample up to `until`, then the closing
+    /// sample at `until` itself (a no-op when `until` sits on the grid —
+    /// [`CrawlMetrics::sample`] dedups the identical instant). Every
+    /// drive boundary flushes through here, so the sampled instants are a
+    /// pure function of the drive horizons and the sampling cadence —
+    /// never of the crawl rate, whose slot times vary per fleet shard.
+    pub(crate) fn flush_samples(&mut self, universe: &WebUniverse, until: f64) {
+        self.sample_due(universe, until);
+        self.sample_metrics(universe, until);
     }
 
     /// Evaluation-only: freshness and mean age of the collection against
@@ -546,19 +557,163 @@ impl IncrementalCrawler {
         self.metrics.sample(t, fresh as f64 / n as f64, age_sum / n as f64);
     }
 
-    /// Emit every pending grid sample up to `until`, then the closing
-    /// sample at `until` itself (a no-op when `until` sits on the grid —
-    /// [`CrawlMetrics::sample`] dedups the identical instant). Every
-    /// drive boundary flushes through here, so the sampled instants are a
-    /// pure function of the drive horizons and the sampling cadence —
-    /// never of the crawl rate, whose slot times vary per fleet shard.
-    fn flush_samples(&mut self, universe: &WebUniverse, until: f64) {
-        while self.clock.next_sample <= until {
-            let ts = self.clock.next_sample;
-            self.sample_metrics(universe, ts);
-            self.clock.next_sample += self.config.sample_interval_days;
+    /// [`CrawlEngine::set_scope`] for both incremental engines.
+    pub(crate) fn set_scope(&mut self, scope: ShardScope) -> Result<(), WebEvoError> {
+        if self.seeded {
+            return Err(WebEvoError::InvalidState(
+                "shard scope must be set before the run starts".into(),
+            ));
         }
-        self.sample_metrics(universe, until);
+        self.routing.scope = Some(scope);
+        Ok(())
+    }
+
+    /// [`CrawlEngine::inject_links`] for both incremental engines.
+    pub(crate) fn inject_links(
+        &mut self,
+        links: Vec<RoutedLink>,
+    ) -> Result<RoutedBatch, WebEvoError> {
+        if !self.seeded {
+            return Err(WebEvoError::InvalidState(
+                "cannot inject routed links before the run starts".into(),
+            ));
+        }
+        let batch = RoutedBatch { seq: self.fetch_seq + 1, t: self.clock.t, links };
+        self.apply_routed(batch.clone());
+        Ok(batch)
+    }
+
+    /// [`CrawlEngine::close_sample`] for both incremental engines.
+    pub(crate) fn close_sample(&mut self, universe: &WebUniverse, t: f64) {
+        if self.seeded {
+            self.flush_samples(universe, t);
+        }
+    }
+}
+
+/// The incremental crawler (left-hand column of Figure 10): the shared
+/// incremental core driven one fetch slot at a time, with the
+/// RankingModule run synchronously at each pass boundary.
+pub struct IncrementalCrawler {
+    core: IncrementalCore,
+    ranking: RankingModule,
+}
+
+impl IncrementalCrawler {
+    /// Create a crawler. Panics unless the crawl rate, ranking interval,
+    /// and sample interval are positive.
+    pub fn new(config: IncrementalConfig) -> IncrementalCrawler {
+        IncrementalCrawler {
+            ranking: RankingModule::new(config.ranking.clone()),
+            core: IncrementalCore::new(config),
+        }
+    }
+
+    /// Rebuild an engine from a checkpointed state. Returns the engine and
+    /// the fetcher state the caller must install into its fetcher (via
+    /// e.g. `SimFetcher::restore_state`) before replaying or resuming.
+    pub fn from_state(
+        mut state: CrawlerState,
+    ) -> Result<(IncrementalCrawler, Option<FetcherState>), WebEvoError> {
+        if state.engine != EngineKind::Incremental {
+            return Err(WebEvoError::InvalidState(format!(
+                "state was written by the {} engine, not the incremental one",
+                state.engine
+            )));
+        }
+        let runs = state.ranking_runs;
+        let fetcher = state.fetcher.take();
+        let core = IncrementalCore::from_state(state)?;
+        let ranking = RankingModule::with_runs(core.config.ranking.clone(), runs);
+        Ok((IncrementalCrawler { core, ranking }, fetcher))
+    }
+
+    /// All discovered URLs (for inspection).
+    pub fn all_urls(&self) -> &AllUrls {
+        &self.core.all_urls
+    }
+
+    /// Ranking passes completed.
+    pub fn ranking_runs(&self) -> u64 {
+        self.ranking.runs()
+    }
+
+    /// The discrete-event loop over fetch slots, shared by live runs and
+    /// WAL replay. Stops at `end`, or — for replay sources — at log
+    /// exhaustion; the exhaustion check sits *before* the boundary
+    /// handlers so a resumed run re-enters at exactly the point the
+    /// interrupted one left.
+    fn advance(
+        &mut self,
+        universe: &WebUniverse,
+        source: &mut FetchSource<'_>,
+        end: f64,
+        hook: &mut dyn CrawlHook,
+    ) {
+        let step = 1.0 / self.core.config.crawl_rate_per_day;
+        // The open fetch-batch span, lazily started at the first fetch
+        // after a boundary and closed (dropped) at the next one — so the
+        // trace alternates fetch_batch / pass under the drive span.
+        let mut fetch_span: Option<SpanGuard> = None;
+        while self.core.clock.t < end {
+            // Routed batches re-inject before anything else: live
+            // injection happens while the engine is frozen *between*
+            // drives, i.e. before the boundary handlers of the slot the
+            // clock froze on.
+            if let Some(batch) = source.take_routed_at(self.core.fetch_seq + 1, self.core.clock.t)
+            {
+                // A routed record marks the end of a live drive call,
+                // which closed by flushing samples through the exchange
+                // barrier — the instant the coordinator drove to, which
+                // the frozen clock has just overshot. Reconstruct that
+                // flush (not a sample at the clock, which belongs to no
+                // live row) so the replayed series matches the
+                // interrupted one row for row.
+                self.core.flush_samples(universe, self.core.exchange_barrier());
+                self.core.apply_routed(batch);
+                continue;
+            }
+            if source.exhausted() {
+                break;
+            }
+            let t = self.core.clock.t;
+            self.core.sample_due(universe, t);
+            if t >= self.core.clock.next_ranking {
+                fetch_span = None;
+                let _pass = self.core.pass_span(t);
+                let outcome = self.ranking.run(&mut self.core.collection, &self.core.all_urls);
+                self.core.admit_ranked(outcome.replacements);
+                let runs = self.ranking.runs();
+                let source = &*source;
+                self.core.close_pass(t, hook, runs, &mut |core| {
+                    let mut state = core.export_state(EngineKind::Incremental, runs, 0, false);
+                    state.fetcher = source.fetcher_state();
+                    state
+                });
+            }
+            let Some(url) = self.core.next_visit() else {
+                // Nothing to crawl yet (collection empty and no
+                // discoveries): burn the slot.
+                self.core.clock.t += step;
+                continue;
+            };
+            if self.core.routing.is_foreign(url.site) {
+                // Residual foreign entry (only possible in a frontier
+                // inherited from a pre-routing checkpoint): routed links,
+                // not fetches, cross shard boundaries — drop it without
+                // spending a fetch or touching the fetch accounting.
+                self.core.clock.t += step;
+                continue;
+            }
+            if self.core.obs.enabled() && fetch_span.is_none() {
+                fetch_span = Some(self.core.span(Stage::FetchBatch, t));
+            }
+            self.core.fetch_seq += 1;
+            let seq = self.core.fetch_seq;
+            let result = source.fetch(seq, url, t);
+            self.core.apply_fetch(universe, FetchRecord { seq, url, t, result }, hook);
+            self.core.clock.t += step;
+        }
     }
 }
 
@@ -568,11 +723,11 @@ impl CrawlEngine for IncrementalCrawler {
     }
 
     fn started(&self) -> bool {
-        self.seeded
+        self.core.seeded
     }
 
     fn clock(&self) -> EngineClock {
-        self.clock
+        self.core.clock
     }
 
     /// Advance to day `until`. The first call starts the run at day 0 and
@@ -596,25 +751,10 @@ impl CrawlEngine for IncrementalCrawler {
         hook: &mut dyn CrawlHook,
         until: f64,
     ) -> Result<&CrawlMetrics, WebEvoError> {
-        if !self.seeded {
-            if until <= self.clock.t {
-                return Err(WebEvoError::InvalidState(format!(
-                    "drive target {until} must lie beyond the start day {}",
-                    self.clock.t
-                )));
-            }
-            self.begin_run(universe);
-        } else if until <= self.clock.t {
-            return Err(WebEvoError::InvalidState(format!(
-                "drive target {until} must lie beyond the engine clock {}",
-                self.clock.t
-            )));
-        }
-        self.metrics.observe_speed(self.config.crawl_rate_per_day);
-        let _drive = self.obs.span(Stage::Drive, LogicalClock::new(self.clock.t, self.fetch_seq));
+        let _drive = self.core.begin_drive(universe, until)?;
         self.advance(universe, &mut FetchSource::Live(fetcher), until, hook);
-        self.flush_samples(universe, until);
-        Ok(&self.metrics)
+        self.core.flush_samples(universe, until);
+        Ok(&self.core.metrics)
     }
 
     /// Re-apply the write-ahead-log tail after restoring a snapshot:
@@ -630,72 +770,28 @@ impl CrawlEngine for IncrementalCrawler {
         fetcher: &mut dyn Fetcher,
         events: &[WalEvent],
     ) -> Result<(), WebEvoError> {
-        if !self.seeded {
-            // A day-0 snapshot: the run died before its first cadence
-            // snapshot. An empty tail means nothing ever hit the log;
-            // otherwise the log necessarily starts at seq 1, so the replay
-            // *is* the run from the top — start it exactly as drive would.
-            if events.is_empty() {
-                return Ok(());
-            }
-            self.begin_run(universe);
-        }
-        let skip = events.partition_point(|e| e.seq() <= self.fetch_seq);
-        let tail = &events[skip..];
-        if let Some(first) = tail.first() {
-            if first.seq() != self.fetch_seq + 1 {
-                return Err(WebEvoError::InvalidState(format!(
-                    "WAL gap: snapshot ends at seq {} but the log resumes at {}",
-                    self.fetch_seq,
-                    first.seq()
-                )));
-            }
-        }
-        let mut source = FetchSource::Replay { events: tail, pos: 0, fetcher };
+        let tail = self.core.begin_replay(universe, events)?;
+        let mut source = FetchSource::Replay { log: WalCursor::new(tail), fetcher };
         // The log is finite and each non-idle slot consumes one record, so
         // the unbounded horizon is only ever reached by exhaustion.
         self.advance(universe, &mut source, f64::INFINITY, &mut NoopHook);
         Ok(())
     }
 
-    /// Capture the full engine state (fetcher state excluded; the
-    /// checkpoint layer merges it in, since only the run loop can reach
-    /// the fetcher).
     fn export_state(&self) -> CrawlerState {
-        CrawlerState {
-            engine: EngineKind::Incremental,
-            config: EngineConfig::Incremental(self.config.clone()),
-            run_start: self.run_start,
-            seeded: self.seeded,
-            clock: self.clock,
-            fetch_seq: self.fetch_seq,
-            collection: self.collection.clone(),
-            all_urls: self.all_urls.clone(),
-            queue: queue_to_entries(&self.queue),
-            queued: self.queued.to_vec(),
-            admissions: self.admissions.to_vec(),
-            update: self.update.clone(),
-            ranking_runs: self.ranking.runs(),
-            ranking_applied: 0,
-            rank_pending: false,
-            crawl: self.crawl.clone(),
-            periodic: None,
-            metrics: self.metrics.clone(),
-            fetcher: None,
-            routing: self.routing.clone(),
-        }
+        self.core.export_state(EngineKind::Incremental, self.ranking.runs(), 0, false)
     }
 
     fn metrics(&self) -> &CrawlMetrics {
-        &self.metrics
+        &self.core.metrics
     }
 
     fn collection(&self) -> Option<&Collection> {
-        Some(&self.collection)
+        Some(&self.core.collection)
     }
 
     fn collection_len(&self) -> usize {
-        self.collection.len()
+        self.core.collection.len()
     }
 
     fn passes(&self) -> u64 {
@@ -703,42 +799,27 @@ impl CrawlEngine for IncrementalCrawler {
     }
 
     fn set_obs(&mut self, obs: ObsSink) {
-        self.obs = obs;
+        self.core.obs = obs;
     }
 
     fn set_view_publisher(&mut self, publisher: Box<dyn ViewPublisher>) {
-        self.publisher = Some(publisher);
+        self.core.publisher = Some(publisher);
     }
 
     fn set_scope(&mut self, scope: ShardScope) -> Result<(), WebEvoError> {
-        if self.seeded {
-            return Err(WebEvoError::InvalidState(
-                "shard scope must be set before the run starts".into(),
-            ));
-        }
-        self.routing.scope = Some(scope);
-        Ok(())
+        self.core.set_scope(scope)
     }
 
-    fn routing(&self) -> Option<&RoutingState> {
-        Some(&self.routing)
+    fn routing(&self) -> &RoutingState {
+        &self.core.routing
     }
 
     fn inject_links(&mut self, links: Vec<RoutedLink>) -> Result<RoutedBatch, WebEvoError> {
-        if !self.seeded {
-            return Err(WebEvoError::InvalidState(
-                "cannot inject routed links before the run starts".into(),
-            ));
-        }
-        let batch = RoutedBatch { seq: self.fetch_seq + 1, t: self.clock.t, links };
-        self.apply_routed(batch.clone());
-        Ok(batch)
+        self.core.inject_links(links)
     }
 
     fn close_sample(&mut self, universe: &WebUniverse, t: f64) {
-        if self.seeded {
-            self.flush_samples(universe, t);
-        }
+        self.core.close_sample(universe, t);
     }
 }
 

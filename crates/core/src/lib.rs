@@ -18,11 +18,13 @@
 //! * [`modules`] — the three modules as separable units: `CrawlModule`
 //!   (fetch + link extraction), `UpdateModule` (update decision: what to
 //!   refresh, when), `RankingModule` (refinement decision: what to keep).
-//! * [`incremental`] — the single-threaded deterministic engine combining
-//!   them (Algorithm 5.1 / Figure 11 made concrete).
-//! * [`threaded`] — the same architecture with real concurrency: crawl
-//!   workers behind crossbeam channels, shared state behind parking_lot
-//!   locks, the RankingModule decoupled from the crawl hot path exactly as
+//! * [`incremental`] — the incremental core combining them (Algorithm 5.1
+//!   / Figure 11 made concrete: the Figure 12 state, the per-fetch step,
+//!   sampling, routing, and state export), and the single-threaded
+//!   deterministic engine that drives it one fetch slot at a time.
+//! * [`threaded`] — a dispatch strategy over that same core: crawl workers
+//!   behind crossbeam channels whose results apply in slot order, and the
+//!   RankingModule on its own thread, off the crawl hot path exactly as
 //!   §5.3 prescribes ("Separating the update decision from the refinement
 //!   decision is crucial").
 //! * [`periodic`] — the batch-mode, shadowing, fixed-frequency baseline

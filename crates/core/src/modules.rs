@@ -48,8 +48,8 @@ pub enum RevisitStrategy {
     Optimal,
 }
 
-/// The CrawlModule: fetch plus accounting. One instance per worker in the
-/// threaded engine.
+/// The CrawlModule: fetch plus accounting. The incremental engines' shared
+/// core counts every attempt, whichever thread fetched it.
 #[derive(Clone, Debug, Default, Serialize, Deserialize)]
 pub struct CrawlModule {
     crawled: u64,

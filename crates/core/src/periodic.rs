@@ -17,7 +17,9 @@
 //! engine is quiescent between cycles.
 
 use crate::collection::Collection;
-use crate::engine::{CrawlBudget, CrawlEngine, FetchSource};
+use crate::engine::{
+    check_drive_target, wal_tail, CrawlBudget, CrawlEngine, FetchSource, WalCursor,
+};
 use crate::hooks::{CrawlHook, FetchRecord, NoopHook};
 use crate::metrics::CrawlMetrics;
 use crate::modules::{CrawlModule, EstimatorKind, RevisitStrategy, UpdateModule};
@@ -351,14 +353,13 @@ impl PeriodicCrawler {
     /// Whether the replay source's next event is the routed batch due at
     /// the current point of the schedule; apply it if so.
     fn try_apply_routed(&mut self, source: &mut FetchSource<'_>) -> bool {
-        if let Some(batch) = source.peek_routed() {
-            if batch.t.to_bits() == self.clock.t.to_bits() && batch.seq == self.fetch_seq + 1 {
-                let batch = source.take_routed().expect("peeked a routed batch");
+        match source.take_routed_at(self.fetch_seq + 1, self.clock.t) {
+            Some(batch) => {
                 self.apply_routed(batch);
-                return true;
+                true
             }
+            None => false,
         }
-        false
     }
 
     /// The shared event loop: samples, batch fetches, shadow swaps, and
@@ -623,19 +624,9 @@ impl CrawlEngine for PeriodicCrawler {
         hook: &mut dyn CrawlHook,
         until: f64,
     ) -> Result<&CrawlMetrics, WebEvoError> {
+        check_drive_target(until, self.clock.t, self.started)?;
         if !self.started {
-            if until <= self.clock.t {
-                return Err(WebEvoError::InvalidState(format!(
-                    "drive target {until} must lie beyond the start day {}",
-                    self.clock.t
-                )));
-            }
             self.begin_run();
-        } else if until <= self.clock.t {
-            return Err(WebEvoError::InvalidState(format!(
-                "drive target {until} must lie beyond the engine clock {}",
-                self.clock.t
-            )));
         }
         self.metrics.observe_speed(self.config.peak_speed());
         let _drive = self.obs.span(Stage::Drive, LogicalClock::new(self.clock.t, self.fetch_seq));
@@ -662,18 +653,8 @@ impl CrawlEngine for PeriodicCrawler {
             }
             self.begin_run();
         }
-        let skip = events.partition_point(|e| e.seq() <= self.fetch_seq);
-        let tail = &events[skip..];
-        if let Some(first) = tail.first() {
-            if first.seq() != self.fetch_seq + 1 {
-                return Err(WebEvoError::InvalidState(format!(
-                    "WAL gap: snapshot ends at seq {} but the log resumes at {}",
-                    self.fetch_seq,
-                    first.seq()
-                )));
-            }
-        }
-        let mut source = FetchSource::Replay { events: tail, pos: 0, fetcher };
+        let tail = wal_tail(events, self.fetch_seq)?;
+        let mut source = FetchSource::Replay { log: WalCursor::new(tail), fetcher };
         self.advance(universe, &mut source, f64::INFINITY, &mut NoopHook);
         Ok(())
     }
@@ -751,8 +732,8 @@ impl CrawlEngine for PeriodicCrawler {
         Ok(())
     }
 
-    fn routing(&self) -> Option<&RoutingState> {
-        Some(&self.routing)
+    fn routing(&self) -> &RoutingState {
+        &self.routing
     }
 
     fn inject_links(&mut self, links: Vec<RoutedLink>) -> Result<RoutedBatch, WebEvoError> {

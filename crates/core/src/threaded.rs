@@ -6,65 +6,62 @@
 //! (RankingModule) is crucial for performance … the crawler cannot
 //! recompute the importance of pages for every page crawled."*
 //!
-//! This engine realizes both: N crawl workers fetch concurrently behind
-//! crossbeam channels while the coordinator (UpdateModule role) applies
-//! results and schedules revisits, and the RankingModule runs on its *own*
-//! thread against collection snapshots — the crawl hot path never waits
-//! for PageRank.
+//! The threaded engine is a dispatch strategy over the same
+//! `IncrementalCore` the single-threaded engine drives: the Figure 12
+//! state, the per-fetch algorithm, sampling, routing, and checkpoint
+//! export all live there once. What this module adds is only how slots
+//! are fetched and how ranking is scheduled:
 //!
-//! Unlike a free-running event loop, the coordinator is **deterministic**:
+//! * **A worker pool.** N CrawlModule workers fetch concurrently behind
+//!   crossbeam channels. Fetch slots are dispatched in batches of at most
+//!   `workers`, each job tagged with its slot sequence number;
+//!   completions are collected for the whole batch and applied in `seq`
+//!   order, so the interleaving of state updates does not depend on
+//!   thread timing. Workers still fetch concurrently — only the
+//!   *application* order is pinned.
+//! * **A ranking thread.** The RankingModule runs on its own thread
+//!   against collection snapshots, so the crawl hot path never waits for
+//!   PageRank. A request is issued at each pass boundary and its response
+//!   applied at the *next* boundary (one full interval of overlap), not
+//!   whenever the thread happens to finish — so its effect on the crawl
+//!   schedule is replayable.
 //!
-//! * Fetch slots are dispatched in batches of at most `workers`, each job
-//!   tagged with its slot sequence number; completions are collected for
-//!   the whole batch and applied in slot order, so the interleaving of
-//!   state updates does not depend on thread timing. Workers still fetch
-//!   concurrently — only the *application* order is pinned.
-//! * A ranking request is issued at each pass boundary and its response is
-//!   applied at the *next* boundary (one full interval of overlap), rather
-//!   than whenever the ranking thread happens to finish. PageRank latency
-//!   is hidden exactly as before; its effect on the crawl schedule is now
-//!   replayable.
-//!
-//! Determinism is what makes the threaded engine *checkpointable*: a
-//! [`CrawlerState`] snapshot plus the write-ahead-log tail reconstructs the
-//! pre-crash engine bit-for-bit (`tests/determinism.rs` pins this), which a
-//! racy coordinator could never promise.
+//! Live drives and WAL replay run the **same** batch-slot loop: a
+//! `BatchSource` either dispatches to the workers or consumes and
+//! cross-checks logged records, and a `RankPipe` either uses the
+//! ranking thread or ranks inline. Determinism is what makes the engine
+//! *checkpointable*: a [`CrawlerState`] snapshot plus the write-ahead-log
+//! tail reconstructs the pre-crash engine bit-for-bit
+//! (`tests/determinism.rs` pins this).
 //!
 //! Simulated time advances with the fetch budget exactly as in the
 //! single-threaded engine (one slot per fetch), so results are comparable.
 
 use crate::allurls::AllUrls;
 use crate::collection::Collection;
-use crate::engine::CrawlEngine;
+use crate::engine::{CrawlEngine, WalCursor};
 use crate::hooks::{CrawlHook, FetchRecord, NoopHook};
-use crate::incremental::IncrementalConfig;
+use crate::incremental::{IncrementalConfig, IncrementalCore};
 use crate::metrics::CrawlMetrics;
-use crate::modules::{CrawlModule, RankingModule, UpdateModule};
+use crate::modules::RankingModule;
 use crate::routing::{RoutedBatch, RoutedLink, RoutingState, ShardScope, WalEvent};
-use crate::view::{BoundaryPages, ViewBoundary, ViewPublisher};
-use crate::state::{
-    entries_to_queue, queue_to_entries, CrawlerState, EngineClock, EngineConfig, EngineKind,
-};
-use crossbeam::channel;
-use webevo_obs::{LogicalClock, ObsSink, SpanGuard, Stage};
-use webevo_schedule::RevisitQueue;
-use webevo_sim::{FetchError, FetchOutcome, Fetcher, Politeness, SimFetcher, WebUniverse};
-use webevo_types::{DenseSet, PageId, Url, WebEvoError};
-
-/// A fetch completion flowing back from a crawl worker. `seq` is the slot
-/// sequence number assigned at dispatch; the coordinator applies a batch
-/// in `seq` order regardless of which worker finished first.
-struct CrawlDone {
-    seq: u64,
-    url: Url,
-    t: f64,
-    result: Result<FetchOutcome, FetchError>,
-}
+use crate::state::{CrawlerState, EngineClock, EngineKind};
+use crate::view::ViewPublisher;
+use crossbeam::channel::{self, Receiver, Sender};
+use webevo_obs::{ObsSink, SpanGuard, Stage};
+use webevo_sim::{Fetcher, Politeness, SimFetcher, WebUniverse};
+use webevo_types::{PageId, Url, WebEvoError};
 
 /// A ranking request: snapshots of the state the RankingModule scans.
 struct RankRequest {
     collection: Collection,
     all_urls: AllUrls,
+}
+
+impl RankRequest {
+    fn of(core: &IncrementalCore) -> RankRequest {
+        RankRequest { collection: core.collection.clone(), all_urls: core.all_urls.clone() }
+    }
 }
 
 /// A ranking response: new importance scores and replacement proposals.
@@ -73,8 +70,7 @@ struct RankResponse {
     replacements: Vec<(PageId, Url)>,
 }
 
-/// Compute a ranking response from a request — the ranking thread's inner
-/// step, also run synchronously during WAL replay.
+/// Compute a ranking response from a request.
 fn rank(ranking: &mut RankingModule, mut req: RankRequest) -> RankResponse {
     let outcome = ranking.run(&mut req.collection, &req.all_urls);
     let importance = req
@@ -85,24 +81,98 @@ fn rank(ranking: &mut RankingModule, mut req: RankRequest) -> RankResponse {
     RankResponse { importance, replacements: outcome.replacements }
 }
 
-/// The multi-threaded incremental crawler.
+/// Where a batch of fetch slots gets its results: the worker pool in a
+/// live drive, or the write-ahead log during recovery — the pattern
+/// [`crate::engine::FetchSource`] follows for the single-threaded engines.
+enum BatchSource<'a> {
+    /// Send jobs to the crawl workers; collect their completions.
+    Workers { jobs: Sender<(u64, Url, f64)>, done: Receiver<FetchRecord> },
+    /// Consume logged outcomes, cross-checking each against the slot the
+    /// re-derived schedule dispatched.
+    Replay { log: WalCursor<'a>, batch: Vec<FetchRecord> },
+}
+
+impl BatchSource<'_> {
+    /// True once a replay source has no events left.
+    fn exhausted(&self) -> bool {
+        match self {
+            BatchSource::Workers { .. } => false,
+            BatchSource::Replay { log, .. } => log.exhausted(),
+        }
+    }
+
+    /// See [`WalCursor::take_routed_at`]; always `None` for the workers.
+    fn take_routed_at(&mut self, seq: u64, t: f64) -> Option<RoutedBatch> {
+        match self {
+            BatchSource::Workers { .. } => None,
+            BatchSource::Replay { log, .. } => log.take_routed_at(seq, t),
+        }
+    }
+
+    /// Start fetch attempt `seq` of `url` at `t`.
+    fn dispatch(&mut self, seq: u64, url: Url, t: f64) {
+        match self {
+            BatchSource::Workers { jobs, .. } => jobs.send((seq, url, t)).expect("workers alive"),
+            BatchSource::Replay { log, batch } => batch.push(log.next_fetch(seq, url, t).clone()),
+        }
+    }
+
+    /// The `dispatched` results of the current batch, in `seq` order.
+    fn collect(&mut self, dispatched: usize) -> Vec<FetchRecord> {
+        match self {
+            BatchSource::Workers { done, .. } => {
+                let mut batch: Vec<FetchRecord> =
+                    (0..dispatched).map(|_| done.recv().expect("worker alive")).collect();
+                batch.sort_by_key(|d| d.seq);
+                batch
+            }
+            BatchSource::Replay { batch, .. } => std::mem::take(batch),
+        }
+    }
+}
+
+/// How ranking requests reach the RankingModule: the ranking thread in a
+/// live drive, or inline during WAL replay. Either way the response to a
+/// request is taken at a fixed point — the next pass boundary or the
+/// drive's end — so replay reproduces the live schedule.
+enum RankPipe {
+    /// The ranking thread, with at most one request outstanding.
+    Thread {
+        requests: Sender<RankRequest>,
+        responses: Receiver<RankResponse>,
+        in_flight: bool,
+    },
+    /// Rank synchronously when the response is due.
+    Inline { ranking: RankingModule, pending: Option<RankRequest> },
+}
+
+impl RankPipe {
+    /// Issue a request.
+    fn issue(&mut self, req: RankRequest) {
+        match self {
+            RankPipe::Thread { requests, in_flight, .. } => {
+                *in_flight = requests.send(req).is_ok();
+            }
+            RankPipe::Inline { pending, .. } => *pending = Some(req),
+        }
+    }
+
+    /// The response to the outstanding request, if one is outstanding.
+    fn answer(&mut self) -> Option<RankResponse> {
+        match self {
+            RankPipe::Thread { responses, in_flight, .. } => std::mem::take(in_flight)
+                .then(|| responses.recv().expect("ranking thread alive")),
+            RankPipe::Inline { ranking, pending } => pending.take().map(|req| rank(ranking, req)),
+        }
+    }
+}
+
+/// The multi-threaded incremental crawler: the shared core plus a worker
+/// pool, a ranking thread, and seq-ordered batch application.
 pub struct ThreadedCrawler {
-    config: IncrementalConfig,
+    core: IncrementalCore,
     workers: usize,
-    collection: Collection,
-    all_urls: AllUrls,
-    queue: RevisitQueue,
-    queued: DenseSet,
-    /// Ranking-proposed admissions; eviction happens on crawl success
-    /// (see the single-threaded engine for the rationale).
-    admissions: DenseSet,
-    update: UpdateModule,
-    metrics: CrawlMetrics,
     ranking_applied: u64,
-    run_start: f64,
-    clock: EngineClock,
-    seeded: bool,
-    fetch_seq: u64,
     /// True once the first pass boundary has been crossed: a ranking
     /// request derived from the engine state at the most recent boundary
     /// is conceptually outstanding. Checkpoints persist the flag; the
@@ -110,51 +180,23 @@ pub struct ThreadedCrawler {
     /// the state the request was built from).
     rank_pending: bool,
     /// A rebuilt-but-not-yet-issued ranking request: set by
-    /// [`ThreadedCrawler::from_state`] and updated during WAL replay,
-    /// consumed when the live coordinator starts.
+    /// [`ThreadedCrawler::from_state`] and carried out of WAL replay,
+    /// issued when the next slot loop starts.
     unsent_rank_request: Option<RankRequest>,
-    /// Observability sink, touched only on the coordinator thread.
-    /// Write-only and deliberately absent from [`CrawlerState`]: spans
-    /// never alter the deterministic slot schedule that `replay_tail`
-    /// mirrors.
-    obs: ObsSink,
-    /// Serving-view publisher, fired at every pass boundary on the
-    /// coordinator thread. Write-only and absent from [`CrawlerState`]
-    /// for the same reason as `obs`: a served run stays byte-identical to
-    /// an unserved one.
-    publisher: Option<Box<dyn ViewPublisher>>,
-    /// Cross-shard routing: scope, outbox of foreign discoveries, and the
-    /// applied-exchange counter. Scoping is enforced entirely on the
-    /// coordinator (the queue never dispatches a foreign URL to a
-    /// worker), so worker parallelism composes with fleet sharding.
-    routing: RoutingState,
 }
 
 impl ThreadedCrawler {
-    /// Create with `workers` parallel CrawlModules.
+    /// Create with `workers` parallel CrawlModules. Panics on zero
+    /// workers, or unless the crawl rate, ranking interval, and sample
+    /// interval are positive.
     pub fn new(config: IncrementalConfig, workers: usize) -> ThreadedCrawler {
         assert!(workers >= 1);
-        let default_interval = config.capacity as f64 / config.crawl_rate_per_day;
         ThreadedCrawler {
+            core: IncrementalCore::new(config),
             workers,
-            collection: Collection::new(config.capacity, config.history_window),
-            all_urls: AllUrls::new(),
-            queue: RevisitQueue::new(),
-            queued: DenseSet::new(),
-            admissions: DenseSet::new(),
-            update: UpdateModule::new(config.revisit, config.estimator, default_interval),
-            metrics: CrawlMetrics::default(),
             ranking_applied: 0,
-            run_start: 0.0,
-            clock: EngineClock { t: 0.0, next_ranking: 0.0, next_sample: 0.0 },
-            seeded: false,
-            fetch_seq: 0,
             rank_pending: false,
             unsent_rank_request: None,
-            obs: ObsSink::noop(),
-            publisher: None,
-            routing: RoutingState::default(),
-            config,
         }
     }
 
@@ -171,38 +213,13 @@ impl ThreadedCrawler {
                 "threaded state must carry a positive worker count".into(),
             ));
         }
-        let config = state.config.as_incremental()?.clone();
-        let mut crawler = ThreadedCrawler {
-            workers,
-            collection: state.collection,
-            all_urls: state.all_urls,
-            queue: entries_to_queue(&state.queue),
-            queued: state.queued.into_iter().collect(),
-            admissions: state.admissions.into_iter().collect(),
-            update: state.update,
-            metrics: state.metrics,
-            ranking_applied: state.ranking_applied,
-            run_start: state.run_start,
-            clock: state.clock,
-            seeded: state.seeded,
-            fetch_seq: state.fetch_seq,
-            rank_pending: state.rank_pending,
-            unsent_rank_request: None,
-            obs: ObsSink::noop(),
-            publisher: None,
-            routing: state.routing,
-            config,
-        };
-        if crawler.rank_pending {
-            // Snapshots are taken at pass boundaries, after the previous
-            // response was applied and before the next request was issued:
-            // the restored state *is* the outstanding request's base.
-            crawler.unsent_rank_request = Some(RankRequest {
-                collection: crawler.collection.clone(),
-                all_urls: crawler.all_urls.clone(),
-            });
-        }
-        Ok(crawler)
+        let (ranking_applied, rank_pending) = (state.ranking_applied, state.rank_pending);
+        let core = IncrementalCore::from_state(state)?;
+        // Snapshots are taken at pass boundaries, after the previous
+        // response was applied and before the next request was issued: the
+        // restored state *is* the outstanding request's base.
+        let unsent_rank_request = rank_pending.then(|| RankRequest::of(&core));
+        Ok(ThreadedCrawler { core, workers, ranking_applied, rank_pending, unsent_rank_request })
     }
 
     /// Ranking outcomes applied.
@@ -210,510 +227,114 @@ impl ThreadedCrawler {
         self.ranking_applied
     }
 
-    fn enqueue(&mut self, url: Url, due: f64) {
-        if self.queued.insert(url.page) {
-            self.queue.push(url, due);
-        }
-    }
-
-    /// Start the run at the frozen clock: anchor the periodic activities
-    /// and inject the seed URLs. Shared by [`CrawlEngine::drive`] on a
-    /// fresh engine and by [`CrawlEngine::replay`] from a day-0 snapshot
-    /// (a run killed before its first cadence snapshot).
-    fn begin_run(&mut self, universe: &WebUniverse) {
-        let start = self.clock.t;
-        self.run_start = start;
-        self.clock = EngineClock {
-            t: start,
-            next_ranking: start + self.config.ranking_interval_days,
-            next_sample: start,
-        };
-        for site in universe.sites() {
-            // A scoped (fleet-shard) engine seeds only the sites it owns;
-            // foreign sites are other shards' seeds.
-            if self.routing.is_foreign(site.id) {
-                continue;
-            }
-            if let Some(root) = universe.occupant(site.id, 0, start) {
-                let url = Url::new(site.id, root);
-                self.all_urls.discover(url, start);
-                self.enqueue(url, start);
-            }
-        }
-        self.seeded = true;
-    }
-
-    /// Apply one routed-link delivery: the outbox the coordinator drained
-    /// to build this exchange is cleared, each link enters `AllUrls` (and
-    /// the frontier, collection permitting) exactly as a locally
-    /// discovered link would, one sequence number is consumed, and the
-    /// exchange counter advances. Runs on the frozen coordinator between
-    /// drives, and during WAL replay at the matching slot, so a replayed
-    /// shard is bit-identical to the live one.
-    fn apply_routed(&mut self, batch: RoutedBatch) {
-        self.routing.outbox.clear();
-        self.fetch_seq = batch.seq;
-        self.routing.exchanges += 1;
-        let t = batch.t;
-        for link in batch.links {
-            let first_sighting = !self.all_urls.contains(link.url);
-            self.all_urls.add_in_link(link.url, link.from, t);
-            if !self.collection.is_full() && !self.collection.contains(link.url.page) {
-                if first_sighting {
-                    if self.queued.insert(link.url.page) {
-                        self.queue.push_front(link.url);
-                    }
-                } else {
-                    self.enqueue(link.url, t);
-                }
-            }
-        }
-    }
-
-    /// Reconstruct everything a live drive ending at `barrier` performs
-    /// after its batch loop breaks: apply the in-flight ranking response
-    /// (the replay equivalent is the rebuilt-but-unsent request) and emit
-    /// the pending grid samples plus the closing sample. Called from
-    /// [`ThreadedCrawler::replay_tail`] when a routed record marks an
-    /// exchange barrier — the only place a fleet shard's drive ends
-    /// mid-log.
-    fn replay_drive_end(
+    /// The batch-slot loop, shared by live drives and WAL replay. Stops at
+    /// `end` (checked first: boundaries past it belong to whoever resumes
+    /// the run) or at log exhaustion.
+    fn run_slots(
         &mut self,
         universe: &WebUniverse,
-        ranking: &mut RankingModule,
-        barrier: f64,
+        source: &mut BatchSource<'_>,
+        pipe: &mut RankPipe,
+        end: f64,
+        hook: &mut dyn CrawlHook,
     ) {
+        let step = 1.0 / self.core.config.crawl_rate_per_day;
+        // A restored or replayed engine re-issues the outstanding request.
         if let Some(req) = self.unsent_rank_request.take() {
-            let res = rank(ranking, req);
-            self.apply_ranking(res);
-            self.rank_pending = false;
+            pipe.issue(req);
         }
-        self.flush_samples(universe, barrier);
-    }
-
-    /// The replay inner loop. This deliberately mirrors `advance_live`'s
-    /// slot scheduling (boundary order, horizon, batch dispatch,
-    /// empty-slot burning) without the channels. Any change to the live
-    /// coordinator's scheduling MUST be mirrored here — the
-    /// `WAL replay diverged` asserts and the recovery determinism tests
-    /// will catch a missed mirror loudly.
-    fn replay_tail(&mut self, universe: &WebUniverse, tail: &[WalEvent]) {
-        let step = 1.0 / self.config.crawl_rate_per_day;
-        let mut ranking = RankingModule::new(self.config.ranking.clone());
-        let mut pos = 0usize;
-        while pos < tail.len() {
-            // Routed batches re-inject before anything else: live
-            // injection happens while the engine is frozen *between*
-            // drives, i.e. before the boundary handlers of the slot the
-            // clock froze on. The seq/t match is exact — slot times are
-            // multiples of `step` and batches record the frozen clock.
-            if let WalEvent::Routed(batch) = &tail[pos] {
-                if batch.t.to_bits() == self.clock.t.to_bits()
-                    && batch.seq == self.fetch_seq + 1
-                {
-                    // The routed record marks the end of a live drive
-                    // call — the exchange barrier the coordinator drove
-                    // to. Reconstruct that drive's closing work first.
-                    let barrier = (self.routing.exchanges + 1) as f64
-                        * self.config.ranking_interval_days;
-                    self.replay_drive_end(universe, &mut ranking, barrier);
-                    self.apply_routed(batch.clone());
-                    pos += 1;
-                    continue;
-                }
+        let mut fetch_span: Option<SpanGuard> = None;
+        loop {
+            let t = self.core.clock.t;
+            if t >= end {
+                break;
             }
-            let t = self.clock.t;
-            while self.clock.next_sample <= t {
-                let ts = self.clock.next_sample;
-                self.sample_metrics(universe, ts);
-                self.clock.next_sample += self.config.sample_interval_days;
+            // A routed record marks the end of a live drive call — the
+            // exchange barrier the coordinator drove to, after which the
+            // batch was injected into the frozen engine. Reconstruct that
+            // drive's closing work first.
+            if let Some(batch) = source.take_routed_at(self.core.fetch_seq + 1, t) {
+                let barrier = self.core.exchange_barrier();
+                self.close_drive(universe, pipe, barrier);
+                self.core.apply_routed(batch);
+                continue;
             }
-            if t >= self.clock.next_ranking {
-                if let Some(req) = self.unsent_rank_request.take() {
-                    let res = rank(&mut ranking, req);
+            if source.exhausted() {
+                break;
+            }
+            self.core.sample_due(universe, t);
+            if t >= self.core.clock.next_ranking {
+                fetch_span = None;
+                let _pass = self.core.pass_span(t);
+                // The response to the request issued one interval ago
+                // lands here — a fixed application point, not "whenever
+                // the ranking thread finishes", so replay can reproduce
+                // it. Waiting only at the pass boundary keeps ranking off
+                // the fetch hot path, as §5.3 prescribes.
+                if let Some(res) = pipe.answer() {
                     self.apply_ranking(res);
                 }
                 self.rank_pending = true;
-                self.unsent_rank_request = Some(RankRequest {
-                    collection: self.collection.clone(),
-                    all_urls: self.all_urls.clone(),
+                let (kind, applied) = (self.kind(), self.ranking_applied);
+                self.core.close_pass(t, hook, applied, &mut |core| {
+                    core.export_state(kind, 0, applied, true)
                 });
-                self.clock.next_ranking += self.config.ranking_interval_days;
+                pipe.issue(RankRequest::of(&self.core));
             }
-            let horizon = self.clock.next_sample.min(self.clock.next_ranking);
-            let mut batch: Vec<CrawlDone> = Vec::new();
+            // One batch of fetch slots: at most `workers` jobs, never
+            // crossing the next boundary. Workers race to grab them; slot
+            // order is restored at application time.
+            let horizon = self.core.clock.next_sample.min(self.core.clock.next_ranking).min(end);
+            if self.core.obs.enabled() && fetch_span.is_none() && !self.core.queue.is_empty() {
+                fetch_span = Some(self.core.span(Stage::FetchBatch, t));
+            }
+            let mut dispatched = 0usize;
             let mut progressed = false;
-            while batch.len() < self.workers && self.clock.t < horizon {
-                let Some(WalEvent::Fetch(record)) = tail.get(pos) else { break };
-                let Some(visit) = self.queue.pop() else { break };
-                self.queued.remove(visit.url.page);
-                if self.routing.is_foreign(visit.url.site) {
-                    // Residual foreign entry (see `advance_live`): burn
-                    // the slot without consuming a record.
-                    self.clock.t += step;
-                    progressed = true;
-                    continue;
-                }
-                self.fetch_seq += 1;
-                pos += 1;
-                assert_eq!(record.seq, self.fetch_seq, "WAL replay out of sync");
-                assert_eq!(
-                    record.url, visit.url,
-                    "WAL replay diverged at seq {}: engine scheduled {:?}, log has {:?}",
-                    record.seq, visit.url, record.url
-                );
-                assert_eq!(
-                    record.t.to_bits(),
-                    self.clock.t.to_bits(),
-                    "WAL replay diverged at seq {}: slot time {} vs logged {}",
-                    record.seq,
-                    self.clock.t,
-                    record.t
-                );
-                batch.push(CrawlDone {
-                    seq: record.seq,
-                    url: record.url,
-                    t: record.t,
-                    result: record.result.clone(),
-                });
-                self.clock.t += step;
+            while dispatched < self.workers && self.core.clock.t < horizon && !source.exhausted() {
+                let Some(url) = self.core.next_visit() else { break };
                 progressed = true;
-            }
-            if batch.is_empty() {
-                if !progressed {
-                    self.clock.t += step;
-                }
-                continue;
-            }
-            for done in batch {
-                self.apply_result(universe, done, &mut NoopHook);
-            }
-        }
-    }
-
-    /// The live coordinator: worker pool + ranking thread around the
-    /// deterministic batch loop.
-    fn advance_live(&mut self, universe: &WebUniverse, end: f64, hook: &mut dyn CrawlHook) {
-        let step = 1.0 / self.config.crawl_rate_per_day;
-        let workers = self.workers;
-        let ranking_config = self.config.ranking.clone();
-
-        let (work_tx, work_rx) = channel::unbounded::<(u64, Url, f64)>();
-        let (done_tx, done_rx) = channel::unbounded::<CrawlDone>();
-        let (rank_req_tx, rank_req_rx) = channel::unbounded::<RankRequest>();
-        let (rank_res_tx, rank_res_rx) = channel::unbounded::<RankResponse>();
-
-        crossbeam::scope(|scope| {
-            // --- CrawlModule workers. ---
-            for _ in 0..workers {
-                let work_rx = work_rx.clone();
-                let done_tx = done_tx.clone();
-                scope.spawn(move |_| {
-                    let mut fetcher =
-                        SimFetcher::new(universe).with_politeness(Politeness::unrestricted());
-                    while let Ok((seq, url, t)) = work_rx.recv() {
-                        let result = webevo_sim::Fetcher::fetch(&mut fetcher, url, t);
-                        if done_tx.send(CrawlDone { seq, url, t, result }).is_err() {
-                            break;
-                        }
-                    }
-                });
-            }
-            drop(done_tx); // coordinator holds the only receiver
-
-            // --- RankingModule thread. ---
-            scope.spawn(move |_| {
-                let mut ranking = RankingModule::new(ranking_config);
-                while let Ok(req) = rank_req_rx.recv() {
-                    if rank_res_tx.send(rank(&mut ranking, req)).is_err() {
-                        break;
-                    }
-                }
-            });
-
-            // --- Coordinator: the UpdateModule role. ---
-            // Spans are coordinator-only: workers never touch the sink, so
-            // recording cannot perturb the race-free batch application.
-            let mut fetch_span: Option<SpanGuard> = None;
-            let mut rank_in_flight = false;
-            // A restored/replayed engine re-issues the outstanding request.
-            if let Some(req) = self.unsent_rank_request.take() {
-                if rank_req_tx.send(req).is_ok() {
-                    rank_in_flight = true;
-                }
-            }
-            loop {
-                let t = self.clock.t;
-                // The horizon check comes *first*: boundaries past `end`
-                // belong to whoever resumes the run, and processing them
-                // here would make the trajectory depend on where this
-                // particular run happens to stop.
-                if t >= end {
-                    break;
-                }
-                // Sample at the grid instant, not the slot that crossed
-                // it: slot times depend on the crawl rate, and fleet
-                // shards run at ownership-apportioned rates yet must
-                // sample on one shared grid to merge.
-                while self.clock.next_sample <= t {
-                    let ts = self.clock.next_sample;
-                    self.sample_metrics(universe, ts);
-                    self.clock.next_sample += self.config.sample_interval_days;
-                }
-                if t >= self.clock.next_ranking {
-                    fetch_span = None;
-                    let _pass =
-                        self.obs.span(Stage::Pass, LogicalClock::new(t, self.fetch_seq));
-                    self.obs.gauge("queue_depth", self.queue.len() as f64);
-                    // The response to the request issued one interval ago
-                    // lands here — a fixed application point, not "whenever
-                    // the ranking thread finishes", so replay can reproduce
-                    // it. Waiting only at the pass boundary keeps ranking
-                    // off the fetch hot path, as §5.3 prescribes.
-                    if rank_in_flight {
-                        let res = rank_res_rx.recv().expect("ranking thread alive");
-                        self.apply_ranking(res);
-                        rank_in_flight = false;
-                    }
-                    self.rank_pending = true;
-                    // Advance the clock *before* the hook: a snapshot must
-                    // record this pass as done, or the restored engine
-                    // would run the boundary twice.
-                    self.clock.next_ranking += self.config.ranking_interval_days;
-                    if hook.active() {
-                        hook.on_pass_boundary(t, &mut || self.export_state());
-                    }
-                    if let Some(publisher) = self.publisher.as_mut() {
-                        let _swap = self
-                            .obs
-                            .span(Stage::ViewSwap, LogicalClock::new(t, self.fetch_seq));
-                        publisher.publish(ViewBoundary {
-                            t,
-                            fetch_seq: self.fetch_seq,
-                            passes: self.ranking_applied,
-                            pages: BoundaryPages::Stored {
-                                collection: &self.collection,
-                                update: &self.update,
-                            },
-                            metrics: &self.metrics,
-                        });
-                    }
-                    let req = RankRequest {
-                        collection: self.collection.clone(),
-                        all_urls: self.all_urls.clone(),
-                    };
-                    if rank_req_tx.send(req).is_ok() {
-                        rank_in_flight = true;
-                    }
-                }
-                // Dispatch one batch of fetch slots: at most `workers`
-                // jobs, never crossing the next boundary. Workers race to
-                // grab them; slot order is restored at application time.
-                let horizon = self.clock.next_sample.min(self.clock.next_ranking).min(end);
-                if self.obs.enabled() && fetch_span.is_none() && !self.queue.is_empty() {
-                    fetch_span = Some(
-                        self.obs.span(Stage::FetchBatch, LogicalClock::new(t, self.fetch_seq)),
-                    );
-                }
-                let mut dispatched = 0usize;
-                let mut progressed = false;
-                while dispatched < workers && self.clock.t < horizon {
-                    let Some(visit) = self.queue.pop() else { break };
-                    self.queued.remove(visit.url.page);
-                    if self.routing.is_foreign(visit.url.site) {
-                        // Residual foreign entry (only possible in a
-                        // frontier inherited from a pre-routing
-                        // checkpoint): routed links, not fetches, cross
-                        // shard boundaries — burn the slot without
-                        // spending a fetch or a sequence number.
-                        self.clock.t += step;
-                        progressed = true;
-                        continue;
-                    }
-                    self.fetch_seq += 1;
-                    work_tx
-                        .send((self.fetch_seq, visit.url, self.clock.t))
-                        .expect("workers alive");
+                if !self.core.routing.is_foreign(url.site) {
+                    self.core.fetch_seq += 1;
+                    source.dispatch(self.core.fetch_seq, url, self.core.clock.t);
                     dispatched += 1;
-                    self.clock.t += step;
-                    progressed = true;
                 }
-                if dispatched == 0 {
-                    // Nothing to crawl this slot.
-                    if !progressed {
-                        self.clock.t += step;
-                    }
-                    continue;
-                }
-                let mut batch: Vec<CrawlDone> = (0..dispatched)
-                    .map(|_| done_rx.recv().expect("worker alive"))
-                    .collect();
-                batch.sort_by_key(|d| d.seq);
-                for done in batch {
-                    self.apply_result(universe, done, hook);
-                }
+                // A residual foreign entry (only possible in a frontier
+                // inherited from a pre-routing checkpoint) burns its slot
+                // without spending a fetch or a sequence number: routed
+                // links, not fetches, cross shard boundaries.
+                self.core.clock.t += step;
             }
-            drop(fetch_span); // close the trailing fetch batch, if open
-            drop(work_tx); // workers exit
-            drop(rank_req_tx); // ranking thread exits
-            // Apply the in-flight ranking outcome rather than discarding
-            // the work; the application point (run end) is deterministic.
-            // The outstanding request is consumed here, so a state
-            // exported after the run must not re-issue one.
-            if rank_in_flight {
-                if let Ok(res) = rank_res_rx.recv() {
-                    self.apply_ranking(res);
-                }
-                self.rank_pending = false;
+            if !progressed {
+                // Nothing to crawl this slot.
+                self.core.clock.t += step;
             }
-        })
-        .expect("crawler threads do not panic");
+            for record in source.collect(dispatched) {
+                self.core.apply_fetch(universe, record, hook);
+            }
+        }
     }
 
-    fn apply_result(&mut self, universe: &WebUniverse, done: CrawlDone, hook: &mut dyn CrawlHook) {
-        let CrawlDone { seq, url, t, result } = done;
-        if hook.active() {
-            hook.on_fetch(&FetchRecord { seq, url, t, result: result.clone() });
+    /// Close a drive at `until`: apply the outstanding ranking response
+    /// (the drive's end is a deterministic application point; the
+    /// outstanding request is consumed here, so a state exported
+    /// afterwards does not re-issue one), then emit the pending grid
+    /// samples and the closing sample.
+    fn close_drive(&mut self, universe: &WebUniverse, pipe: &mut RankPipe, until: f64) {
+        if let Some(res) = pipe.answer() {
+            self.apply_ranking(res);
+            self.rank_pending = false;
         }
-        match result {
-            Ok(outcome) => {
-                self.obs.add("fetch_ok_total", 1);
-                self.metrics.record_fetch(true);
-                if self.collection.contains(url.page) {
-                    self.collection.update(url.page, outcome.checksum, outcome.links.clone(), t);
-                } else {
-                    let admitted = self.admissions.remove(url.page);
-                    if self.collection.is_full() {
-                        if !admitted {
-                            return;
-                        }
-                        if let Some(victim) = self.collection.least_important() {
-                            if let Some(stored) = self.collection.discard(victim) {
-                                self.queue.remove(stored.url);
-                                self.queued.remove(victim);
-                                self.update.forget(victim);
-                            }
-                        }
-                    }
-                    self.collection.save(url, outcome.checksum, outcome.links.clone(), t);
-                    let birth = universe.page(url.page).birth;
-                    if birth >= self.run_start {
-                        self.metrics.record_admission_latency(t - birth);
-                        let found = self
-                            .all_urls
-                            .info(url)
-                            .map(|i| i.discovered)
-                            .unwrap_or(t);
-                        self.metrics.record_discovery_latency(t - found);
-                    }
-                }
-                for link in &outcome.links {
-                    if self.routing.is_foreign(link.site) {
-                        // Another shard owns this site: queue the sighting
-                        // for the next fleet exchange instead of entering
-                        // the local frontier. Every sighting is routed
-                        // (no dedup), mirroring the per-sighting
-                        // `add_in_link` evidence a single node collects.
-                        self.routing.outbox.push(RoutedLink {
-                            seq,
-                            from: url.page,
-                            url: *link,
-                        });
-                        continue;
-                    }
-                    let first_sighting = !self.all_urls.contains(*link);
-                    self.all_urls.add_in_link(*link, url.page, t);
-                    if !self.collection.is_full() && !self.collection.contains(link.page) {
-                        if first_sighting {
-                            if self.queued.insert(link.page) {
-                                self.queue.push_front(*link);
-                            }
-                        } else {
-                            self.enqueue(*link, t);
-                        }
-                    }
-                }
-                let due = self.update.next_due(url.page, t);
-                self.enqueue(url, due);
-            }
-            Err(FetchError::NotFound) => {
-                self.obs.add("fetch_not_found_total", 1);
-                self.metrics.record_fetch(false);
-                self.all_urls.mark_dead(url, t);
-                self.admissions.remove(url.page);
-                if self.collection.discard(url.page).is_some() {
-                    self.update.forget(url.page);
-                }
-            }
-            Err(FetchError::Transient) => {
-                self.obs.add("fetch_transient_total", 1);
-                self.metrics.record_fetch(false);
-                self.enqueue(url, t + 0.25);
-            }
-            Err(FetchError::RateLimited { retry_at }) => {
-                self.obs.add("fetch_rate_limited_total", 1);
-                self.enqueue(url, retry_at.max(t + 0.01));
-            }
-        }
+        self.core.flush_samples(universe, until);
     }
 
     fn apply_ranking(&mut self, res: RankResponse) {
         self.ranking_applied += 1;
         for (p, importance) in res.importance {
-            if let Some(stored) = self.collection.get_mut(p) {
+            if let Some(stored) = self.core.collection.get_mut(p) {
                 stored.importance = importance;
             }
         }
-        for (_victim, admit) in res.replacements {
-            // The snapshot may be stale: admit may already be stored.
-            if self.collection.contains(admit.page) {
-                continue;
-            }
-            self.admissions.insert(admit.page);
-            if self.queued.insert(admit.page) {
-                self.queue.push_front(admit);
-            }
-        }
-        self.update
-            .reallocate(&self.collection, self.config.crawl_rate_per_day);
-    }
-
-    fn sample_metrics(&mut self, universe: &WebUniverse, t: f64) {
-        if self.collection.is_empty() {
-            self.metrics.sample(t, 0.0, 0.0);
-            return;
-        }
-        let mut fresh = 0usize;
-        let mut age_sum = 0.0;
-        let n = self.collection.len();
-        for (p, stored) in self.collection.iter() {
-            if universe.copy_is_fresh(p, stored.last_crawl, t) {
-                fresh += 1;
-            } else {
-                let page = universe.page(p);
-                let staled_at = universe
-                    .first_change_after(p, stored.last_crawl)
-                    .unwrap_or(page.death)
-                    .min(page.death);
-                age_sum += (t - staled_at).max(0.0);
-            }
-        }
-        self.metrics.sample(t, fresh as f64 / n as f64, age_sum / n as f64);
-    }
-
-    /// Emit every pending grid sample up to `until`, then the closing
-    /// sample at `until` itself (a no-op when `until` sits on the grid —
-    /// [`CrawlMetrics::sample`] dedups the identical instant). Every
-    /// drive boundary flushes through here, so the sampled instants are a
-    /// pure function of the drive horizons and the sampling cadence —
-    /// never of the crawl rate, whose slot times vary per fleet shard.
-    fn flush_samples(&mut self, universe: &WebUniverse, until: f64) {
-        while self.clock.next_sample <= until {
-            let ts = self.clock.next_sample;
-            self.sample_metrics(universe, ts);
-            self.clock.next_sample += self.config.sample_interval_days;
-        }
-        self.sample_metrics(universe, until);
+        self.core.admit_ranked(res.replacements);
     }
 }
 
@@ -723,11 +344,11 @@ impl CrawlEngine for ThreadedCrawler {
     }
 
     fn started(&self) -> bool {
-        self.seeded
+        self.core.seeded
     }
 
     fn clock(&self) -> EngineClock {
-        self.clock
+        self.core.clock
     }
 
     /// Advance to day `until`. The first call starts the run at day 0;
@@ -753,61 +374,73 @@ impl CrawlEngine for ThreadedCrawler {
         hook: &mut dyn CrawlHook,
         until: f64,
     ) -> Result<&CrawlMetrics, WebEvoError> {
-        if !self.seeded {
-            if until <= self.clock.t {
-                return Err(WebEvoError::InvalidState(format!(
-                    "drive target {until} must lie beyond the start day {}",
-                    self.clock.t
-                )));
+        let _drive = self.core.begin_drive(universe, until)?;
+        let (jobs, job_rx) = channel::unbounded::<(u64, Url, f64)>();
+        let (done_tx, done) = channel::unbounded::<FetchRecord>();
+        let (requests, request_rx) = channel::unbounded::<RankRequest>();
+        let (response_tx, responses) = channel::unbounded::<RankResponse>();
+        let ranking_config = self.core.config.ranking.clone();
+        crossbeam::scope(|scope| {
+            // --- CrawlModule workers. ---
+            for _ in 0..self.workers {
+                let job_rx = job_rx.clone();
+                let done_tx = done_tx.clone();
+                scope.spawn(move |_| {
+                    let mut fetcher =
+                        SimFetcher::new(universe).with_politeness(Politeness::unrestricted());
+                    while let Ok((seq, url, t)) = job_rx.recv() {
+                        let result = Fetcher::fetch(&mut fetcher, url, t);
+                        if done_tx.send(FetchRecord { seq, url, t, result }).is_err() {
+                            break;
+                        }
+                    }
+                });
             }
-            self.begin_run(universe);
-        } else if until <= self.clock.t {
-            return Err(WebEvoError::InvalidState(format!(
-                "drive target {until} must lie beyond the engine clock {}",
-                self.clock.t
-            )));
-        }
-        self.metrics.observe_speed(self.config.crawl_rate_per_day);
-        let _drive = self.obs.span(Stage::Drive, LogicalClock::new(self.clock.t, self.fetch_seq));
-        self.advance_live(universe, until, hook);
-        self.flush_samples(universe, until);
-        Ok(&self.metrics)
+            drop(done_tx); // the coordinator holds the only receiver
+            // --- RankingModule thread. ---
+            scope.spawn(move |_| {
+                let mut ranking = RankingModule::new(ranking_config);
+                while let Ok(req) = request_rx.recv() {
+                    if response_tx.send(rank(&mut ranking, req)).is_err() {
+                        break;
+                    }
+                }
+            });
+            // --- Coordinator: the UpdateModule role. Spans are
+            // coordinator-only: workers never touch the sink, so recording
+            // cannot perturb the race-free batch application. ---
+            let mut source = BatchSource::Workers { jobs, done };
+            let mut pipe = RankPipe::Thread { requests, responses, in_flight: false };
+            self.run_slots(universe, &mut source, &mut pipe, until, hook);
+            drop(source); // workers exit
+            self.close_drive(universe, &mut pipe, until);
+        })
+        .expect("crawler threads do not panic");
+        Ok(&self.core.metrics)
     }
 
     /// Re-apply the write-ahead-log tail after restoring a snapshot: the
-    /// deterministic batch schedule is re-derived from the restored state
-    /// and each slot consumes its logged outcome instead of fetching.
-    /// Ranking passes crossed during replay run synchronously (same
-    /// request/response pipeline, no thread), and routed batches
-    /// re-inject at the exchange barrier they were logged at. Records
-    /// already covered by the snapshot are skipped. `fetcher` is ignored,
-    /// as in [`CrawlEngine::drive`].
+    /// same batch-slot loop as a live drive re-derives the deterministic
+    /// schedule from the restored state, each slot consuming its logged
+    /// outcome instead of fetching. Ranking runs inline (same
+    /// request/response timing, no thread), and routed batches re-inject
+    /// at the exchange barrier they were logged at. Records already
+    /// covered by the snapshot are skipped. `fetcher` is ignored, as in
+    /// [`CrawlEngine::drive`].
     fn replay(
         &mut self,
         universe: &WebUniverse,
         _fetcher: &mut dyn Fetcher,
         events: &[WalEvent],
     ) -> Result<(), WebEvoError> {
-        if !self.seeded {
-            // Day-0 snapshot (killed before the first cadence snapshot):
-            // an empty tail leaves the fresh engine untouched; a non-empty
-            // one starts the run and replays it from the top.
-            if events.is_empty() {
-                return Ok(());
-            }
-            self.begin_run(universe);
+        let tail = self.core.begin_replay(universe, events)?;
+        let mut source = BatchSource::Replay { log: WalCursor::new(tail), batch: Vec::new() };
+        let ranking = RankingModule::new(self.core.config.ranking.clone());
+        let mut pipe = RankPipe::Inline { ranking, pending: None };
+        self.run_slots(universe, &mut source, &mut pipe, f64::INFINITY, &mut NoopHook);
+        if let RankPipe::Inline { pending, .. } = pipe {
+            self.unsent_rank_request = pending;
         }
-        let skip = events.partition_point(|e| e.seq() <= self.fetch_seq);
-        if let Some(first) = events[skip..].first() {
-            if first.seq() != self.fetch_seq + 1 {
-                return Err(WebEvoError::InvalidState(format!(
-                    "WAL gap: snapshot ends at seq {} but the log resumes at {}",
-                    self.fetch_seq,
-                    first.seq()
-                )));
-            }
-        }
-        self.replay_tail(universe, &events[skip..]);
         Ok(())
     }
 
@@ -815,40 +448,19 @@ impl CrawlEngine for ThreadedCrawler {
     /// simulated fetch is a pure function of `(url, t)` under the
     /// unrestricted politeness the workers run with).
     fn export_state(&self) -> CrawlerState {
-        CrawlerState {
-            engine: EngineKind::Threaded { workers: self.workers },
-            config: EngineConfig::Incremental(self.config.clone()),
-            run_start: self.run_start,
-            seeded: self.seeded,
-            clock: self.clock,
-            fetch_seq: self.fetch_seq,
-            collection: self.collection.clone(),
-            all_urls: self.all_urls.clone(),
-            queue: queue_to_entries(&self.queue),
-            queued: self.queued.to_vec(),
-            admissions: self.admissions.to_vec(),
-            update: self.update.clone(),
-            ranking_runs: 0,
-            ranking_applied: self.ranking_applied,
-            rank_pending: self.rank_pending,
-            crawl: CrawlModule::default(),
-            periodic: None,
-            metrics: self.metrics.clone(),
-            fetcher: None,
-            routing: self.routing.clone(),
-        }
+        self.core.export_state(self.kind(), 0, self.ranking_applied, self.rank_pending)
     }
 
     fn metrics(&self) -> &CrawlMetrics {
-        &self.metrics
+        &self.core.metrics
     }
 
     fn collection(&self) -> Option<&Collection> {
-        Some(&self.collection)
+        Some(&self.core.collection)
     }
 
     fn collection_len(&self) -> usize {
-        self.collection.len()
+        self.core.collection.len()
     }
 
     fn passes(&self) -> u64 {
@@ -860,42 +472,27 @@ impl CrawlEngine for ThreadedCrawler {
     }
 
     fn set_obs(&mut self, obs: ObsSink) {
-        self.obs = obs;
+        self.core.obs = obs;
     }
 
     fn set_view_publisher(&mut self, publisher: Box<dyn ViewPublisher>) {
-        self.publisher = Some(publisher);
+        self.core.publisher = Some(publisher);
     }
 
     fn set_scope(&mut self, scope: ShardScope) -> Result<(), WebEvoError> {
-        if self.seeded {
-            return Err(WebEvoError::InvalidState(
-                "shard scope must be set before the run starts".into(),
-            ));
-        }
-        self.routing.scope = Some(scope);
-        Ok(())
+        self.core.set_scope(scope)
     }
 
-    fn routing(&self) -> Option<&RoutingState> {
-        Some(&self.routing)
+    fn routing(&self) -> &RoutingState {
+        &self.core.routing
     }
 
     fn inject_links(&mut self, links: Vec<RoutedLink>) -> Result<RoutedBatch, WebEvoError> {
-        if !self.seeded {
-            return Err(WebEvoError::InvalidState(
-                "cannot inject routed links before the run starts".into(),
-            ));
-        }
-        let batch = RoutedBatch { seq: self.fetch_seq + 1, t: self.clock.t, links };
-        self.apply_routed(batch.clone());
-        Ok(batch)
+        self.core.inject_links(links)
     }
 
     fn close_sample(&mut self, universe: &WebUniverse, t: f64) {
-        if self.seeded {
-            self.flush_samples(universe, t);
-        }
+        self.core.close_sample(universe, t);
     }
 }
 
@@ -924,6 +521,14 @@ mod tests {
     fn run(crawler: &mut ThreadedCrawler, u: &WebUniverse, days: f64) {
         let mut unused = SimFetcher::new(u);
         crawler.drive(u, &mut unused, &mut NoopHook, days).expect("drive succeeds");
+    }
+
+    #[test]
+    #[should_panic(expected = "crawl rate must be positive")]
+    fn zero_crawl_rate_is_rejected_at_construction() {
+        let mut cfg = config(20);
+        cfg.crawl_rate_per_day = 0.0;
+        let _ = ThreadedCrawler::new(cfg, 2);
     }
 
     #[test]

@@ -799,7 +799,7 @@ impl<'a> FleetSession<'a> {
             .iter()
             .enumerate()
             .map(|(k, s)| {
-                let outbox = s.routing().map(|r| r.outbox.clone()).unwrap_or_default();
+                let outbox = s.routing().outbox.clone();
                 if self.obs.enabled() {
                     self.obs
                         .for_shard(ShardId(k as u32))
@@ -888,11 +888,7 @@ impl<'a> FleetSession<'a> {
         // schedules the whole fleet.
         let interval = self.barrier_interval();
         let mut routed = vec![0u64; shard_count];
-        let mut exchanges = sessions
-            .first()
-            .and_then(|s| s.routing())
-            .map(|r| r.exchanges)
-            .unwrap_or(0);
+        let mut exchanges = sessions.first().map_or(0, |s| s.routing().exchanges);
         loop {
             let barrier = (exchanges + 1) as f64 * interval;
             if barrier >= days {

@@ -584,8 +584,8 @@ impl<'a> CrawlSession<'a> {
     }
 
     /// The engine's routing state (shard scope, outbox, applied-exchange
-    /// counter), when the engine supports routing.
-    pub fn routing(&self) -> Option<&RoutingState> {
+    /// counter).
+    pub fn routing(&self) -> &RoutingState {
         self.engine.routing()
     }
 
