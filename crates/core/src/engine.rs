@@ -503,12 +503,7 @@ impl FetchSource<'_> {
     }
 
     /// Produce the result for fetch attempt `seq` of `url` at `t`.
-    pub(crate) fn fetch(
-        &mut self,
-        seq: u64,
-        url: Url,
-        t: f64,
-    ) -> Result<FetchOutcome, FetchError> {
+    pub(crate) fn fetch(&mut self, seq: u64, url: Url, t: f64) -> Result<FetchOutcome, FetchError> {
         match self {
             FetchSource::Live(f) => f.fetch(url, t),
             FetchSource::Replay { log, fetcher } => {

@@ -112,7 +112,7 @@ pub(crate) struct IncrementalCore {
     pub(crate) collection: Collection,
     pub(crate) all_urls: AllUrls,
     /// `CollUrls`; `queued` is its membership set.
-    pub(crate) queue: RevisitQueue,
+    queue: RevisitQueue,
     queued: DenseSet,
     /// Pages the RankingModule proposed for admission; the eviction they
     /// pay for happens only when their crawl *succeeds* (Algorithm 5.1
@@ -660,8 +660,7 @@ impl IncrementalCrawler {
             // injection happens while the engine is frozen *between*
             // drives, i.e. before the boundary handlers of the slot the
             // clock froze on.
-            if let Some(batch) = source.take_routed_at(self.core.fetch_seq + 1, self.core.clock.t)
-            {
+            if let Some(batch) = source.take_routed_at(self.core.fetch_seq + 1, self.core.clock.t) {
                 // A routed record marks the end of a live drive call,
                 // which closed by flushing samples through the exchange
                 // barrier — the instant the coordinator drove to, which

@@ -137,11 +137,7 @@ impl BatchSource<'_> {
 /// drive's end — so replay reproduces the live schedule.
 enum RankPipe {
     /// The ranking thread, with at most one request outstanding.
-    Thread {
-        requests: Sender<RankRequest>,
-        responses: Receiver<RankResponse>,
-        in_flight: bool,
-    },
+    Thread { requests: Sender<RankRequest>, responses: Receiver<RankResponse>, in_flight: bool },
     /// Rank synchronously when the response is due.
     Inline { ranking: RankingModule, pending: Option<RankRequest> },
 }
@@ -160,8 +156,9 @@ impl RankPipe {
     /// The response to the outstanding request, if one is outstanding.
     fn answer(&mut self) -> Option<RankResponse> {
         match self {
-            RankPipe::Thread { responses, in_flight, .. } => std::mem::take(in_flight)
-                .then(|| responses.recv().expect("ranking thread alive")),
+            RankPipe::Thread { responses, in_flight, .. } => {
+                std::mem::take(in_flight).then(|| responses.recv().expect("ranking thread alive"))
+            }
             RankPipe::Inline { ranking, pending } => pending.take().map(|req| rank(ranking, req)),
         }
     }
@@ -285,15 +282,15 @@ impl ThreadedCrawler {
             // crossing the next boundary. Workers race to grab them; slot
             // order is restored at application time.
             let horizon = self.core.clock.next_sample.min(self.core.clock.next_ranking).min(end);
-            if self.core.obs.enabled() && fetch_span.is_none() && !self.core.queue.is_empty() {
-                fetch_span = Some(self.core.span(Stage::FetchBatch, t));
-            }
             let mut dispatched = 0usize;
             let mut progressed = false;
             while dispatched < self.workers && self.core.clock.t < horizon && !source.exhausted() {
                 let Some(url) = self.core.next_visit() else { break };
                 progressed = true;
                 if !self.core.routing.is_foreign(url.site) {
+                    if self.core.obs.enabled() && fetch_span.is_none() {
+                        fetch_span = Some(self.core.span(Stage::FetchBatch, self.core.clock.t));
+                    }
                     self.core.fetch_seq += 1;
                     source.dispatch(self.core.fetch_seq, url, self.core.clock.t);
                     dispatched += 1;
@@ -397,6 +394,7 @@ impl CrawlEngine for ThreadedCrawler {
                 });
             }
             drop(done_tx); // the coordinator holds the only receiver
+
             // --- RankingModule thread. ---
             scope.spawn(move |_| {
                 let mut ranking = RankingModule::new(ranking_config);
